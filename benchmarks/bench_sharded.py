@@ -112,8 +112,9 @@ def main(argv=None) -> int:
     parser.add_argument("--policy", default="cm-feasible")
     parser.add_argument("--qos", type=float, default=60.0)
     # Fleet-scale occupancy: 20 arrivals/s x 30 s mean duration keeps
-    # ~600 sessions live, so the single broker's per-decision candidate
-    # scan runs over hundreds of servers — the cost sharding amortizes.
+    # ~600 sessions live on hundreds of servers.  The candidate scan
+    # walks distinct signatures, so its cost does not grow with them;
+    # the sweep tracks what each shard count costs in servers opened.
     parser.add_argument("--arrival-rate", type=float, default=20.0)
     parser.add_argument("--mean-duration", type=float, default=30.0)
     parser.add_argument("--rebalance-interval", type=int, default=8192)

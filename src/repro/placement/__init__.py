@@ -35,7 +35,13 @@ from repro.placement.engine import (
     PolicyActuator,
     ResolutionDownscaleActuator,
 )
-from repro.placement.fleet import FleetState, Session, degraded_to, promoted_to
+from repro.placement.fleet import (
+    FleetState,
+    PoolSignatures,
+    Session,
+    degraded_to,
+    promoted_to,
+)
 from repro.placement.offline import DynamicMetrics, simulate_sessions
 from repro.placement.policies import (
     POLICY_NAMES,
@@ -53,6 +59,7 @@ from repro.placement.signature import (
     colocation_key,
     entry_of,
     signature_add,
+    signature_groups,
     signature_of,
 )
 
@@ -75,6 +82,7 @@ __all__ = [
     "POLICY_NAMES",
     "PlacementOutcome",
     "PolicyActuator",
+    "PoolSignatures",
     "PredictionCache",
     "ResolutionDownscaleActuator",
     "Session",
@@ -90,6 +98,7 @@ __all__ = [
     "evaluate_assignment",
     "promoted_to",
     "signature_add",
+    "signature_groups",
     "signature_of",
     "simulate_sessions",
 ]

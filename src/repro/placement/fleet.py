@@ -24,6 +24,12 @@ copy at a different resolution, adjusting the server signature in place
 — the restore loop's promotion primitive (and, symmetrically, how an
 in-place downscale would land).
 
+The fleet also keeps a *signature index* under the same four verbs:
+each distinct signature on the pool is interned to an int id, and
+servers are bucketed by ``(size, sig id)``.  :meth:`signatures` hands it
+out with the pool-order list (:class:`PoolSignatures`), so a policy can
+scan the few distinct signatures of a pool instead of every server.
+
 An optional *observer* (duck-typed: ``fleet_placed`` /
 ``fleet_departed`` / ``fleet_evicted``, plus the optional
 ``fleet_resolution_changed``) is notified synchronously after each
@@ -35,13 +41,35 @@ without the fleet knowing anything about QoS.
 from __future__ import annotations
 
 import heapq
+import itertools
+from bisect import bisect_left, insort
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.games.resolution import Resolution
-from repro.placement.signature import Signature, entry_of, signature_add
+from repro.placement.signature import (
+    Signature,
+    SignatureGroup,
+    entry_of,
+    group_plain,
+    signature_add,
+)
 
-__all__ = ["Session", "FleetState", "degraded_to", "promoted_to"]
+__all__ = [
+    "Session",
+    "FleetState",
+    "PoolSignatures",
+    "degraded_to",
+    "promoted_to",
+]
+
+#: Signature ids come from one process-wide counter: an id names one
+#: signature of one fleet and is never reused, so policies may memoize
+#: per-id work across decisions and fleets without collisions.
+_SIG_IDS = itertools.count()
+
+#: Ids of signatures that left the pool a fleet keeps before sweeping.
+_INTERN_SLACK = 1024
 
 
 @dataclass(frozen=True)
@@ -107,6 +135,34 @@ def promoted_to(session: Session, resolution: Resolution) -> Session:
     return replace(session, resolution=resolution)
 
 
+class PoolSignatures(list):
+    """The open servers' signatures in pool order, plus their distinct groups.
+
+    A plain ``list`` to every caller that indexes or compares it; policies
+    also call :meth:`groups`, which answers from the fleet's signature
+    index as long as the fleet has not changed since the list was taken.
+    """
+
+    __slots__ = ("_fleet", "_version")
+
+    def __init__(self, fleet: "FleetState") -> None:
+        super().__init__(fleet._signatures.values())
+        self._fleet = fleet
+        self._version = fleet._version
+
+    def groups(self, max_size: int | None = None) -> list[SignatureGroup]:
+        """Distinct signatures with fewer than ``max_size`` entries.
+
+        ``(first index, sig id, signature)`` in first-index order; see
+        :func:`repro.placement.signature.signature_groups`.
+        """
+        fleet = self._fleet
+        if fleet._version != self._version:
+            # The fleet moved on: group this snapshot directly.
+            return group_plain(self, max_size)
+        return fleet._groups(max_size)
+
+
 class FleetState:
     """Servers, member signatures, and arrival/departure bookkeeping.
 
@@ -133,6 +189,17 @@ class FleetState:
         # place() resolves a policy's index without materializing the
         # key list per decision.
         self._ids: list[int] = []
+        # The signature index: each distinct signature on the pool is
+        # interned to an id (kept after its last server leaves, until a
+        # sweep), and _buckets[size][sig id] lists the ids of the servers
+        # carrying it, ascending.
+        # _version counts mutations so a PoolSignatures snapshot knows
+        # whether the index still describes it.
+        self._sig_ids: dict[Signature, int] = {}
+        self._sig_of: dict[int, Signature] = {}
+        self._server_sig: dict[int, int] = {}
+        self._buckets: list[dict[int, list[int]]] = []
+        self._version = 0
         self._departures: list[tuple[float, int, int]] = []  # (time, seq, server)
         self._next_server_id = 0
         self._next_member_id = 0
@@ -200,21 +267,94 @@ class FleetState:
         """Stable ids of the open servers, in pool (decision-index) order."""
         return list(self._ids)
 
-    def signatures(self) -> list[Signature]:
+    def signatures(self) -> PoolSignatures:
         """Canonical signatures of the open servers, in pool order.
 
         This is the list placement policies decide against; the index a
         policy returns is a position in this list.  Signatures are
         maintained under mutation (each verb touches only the affected
-        server), so this is a pool-order copy, not a recomputation.
+        server), so this is a pool-order copy, not a recomputation.  The
+        copy also carries the signature index: its
+        :meth:`PoolSignatures.groups` lists the distinct signatures
+        without visiting the servers.
         """
-        return list(self._signatures.values())
+        return PoolSignatures(self)
+
+    def signature_buckets(self) -> dict[tuple[int, int], tuple[Signature, list[int]]]:
+        """The signature index: ``(size, sig id) -> (signature, server ids)``.
+
+        Server ids are ascending.  Exposed so tests can check the
+        incremental index against one recomputed from :meth:`signatures`.
+        """
+        return {
+            (size, sig_id): (self._sig_of[sig_id], list(servers))
+            for size, by_id in enumerate(self._buckets)
+            for sig_id, servers in by_id.items()
+        }
+
+    def _groups(self, max_size: int | None) -> list[SignatureGroup]:
+        buckets = self._buckets
+        stop = len(buckets) if max_size is None else min(max_size, len(buckets))
+        # A group's first server is its lowest id; ids ascend in pool
+        # order, so sorting by it is sorting by first index.
+        heads = sorted(
+            (servers[0], sig_id)
+            for size in range(stop)
+            for sig_id, servers in buckets[size].items()
+        )
+        ids, sig_of = self._ids, self._sig_of
+        return [
+            (bisect_left(ids, head), sig_id, sig_of[sig_id])
+            for head, sig_id in heads
+        ]
 
     def members(self, server_id: int) -> list[Session]:
         """Live sessions hosted on ``server_id``, departure-ordered."""
         return [s for _, s in self._servers[server_id]]
 
     # -- mutation -------------------------------------------------------
+
+    def _file(self, server_id: int, sig: Signature) -> None:
+        """Set ``server_id``'s signature and file it in the index."""
+        sig_id = self._sig_ids.get(sig)
+        if sig_id is None:
+            if len(self._sig_of) > 2 * len(self._server_sig) + _INTERN_SLACK:
+                self._sweep_interned()
+            sig_id = self._sig_ids[sig] = next(_SIG_IDS)
+            self._sig_of[sig_id] = sig
+        # Equal signatures share the interned tuple.
+        self._signatures[server_id] = self._sig_of[sig_id]
+        self._server_sig[server_id] = sig_id
+        size = len(sig)
+        while len(self._buckets) <= size:
+            self._buckets.append({})
+        by_id = self._buckets[size]
+        servers = by_id.get(sig_id)
+        if servers is None:
+            by_id[sig_id] = [server_id]
+        else:
+            insort(servers, server_id)
+
+    def _unfile(self, server_id: int) -> None:
+        """Take ``server_id`` out of the index (its signature keeps its id)."""
+        sig_id = self._server_sig.pop(server_id)
+        by_id = self._buckets[len(self._sig_of[sig_id])]
+        servers = by_id[sig_id]
+        if len(servers) == 1:
+            del by_id[sig_id]
+        else:
+            del servers[bisect_left(servers, server_id)]
+
+    def _sweep_interned(self) -> None:
+        """Forget the ids of signatures no open server carries.
+
+        Ids outlive their last server so a signature that comes back
+        keeps its id (and the policies' memo of it); this sweep bounds
+        the table by the open pool instead of by every signature seen.
+        """
+        live = {sig_id for by_id in self._buckets for sig_id in by_id}
+        for sig_id in [i for i in self._sig_of if i not in live]:
+            del self._sig_ids[self._sig_of.pop(sig_id)]
 
     def place(self, choice: int | None, session: Session) -> int:
         """Apply a placement decision; returns the hosting server's id.
@@ -230,7 +370,7 @@ class FleetState:
             server_id = self._next_server_id
             self._next_server_id += 1
             self._servers[server_id] = [member]
-            self._signatures[server_id] = (entry_of(session),)
+            self._file(server_id, (entry_of(session),))
             self._ids.append(server_id)
         else:
             server_id = self._ids[choice]
@@ -238,9 +378,10 @@ class FleetState:
             hosted.append(member)
             # Keep departure order: earliest-ending session leaves first.
             hosted.sort(key=lambda m: m[1].departure)
-            self._signatures[server_id] = signature_add(
-                self._signatures[server_id], entry_of(session)
-            )
+            sig = self._signatures[server_id]
+            self._unfile(server_id)
+            self._file(server_id, signature_add(sig, entry_of(session)))
+        self._version += 1
         heapq.heappush(self._departures, (session.departure, self._seq, server_id))
         self._seq += 1
         self._n_live += 1
@@ -273,6 +414,9 @@ class FleetState:
             if before_each is not None:
                 before_each(t)
             member_id, session = members.pop(0)
+            sig = self._signatures[server_id]
+            self._unfile(server_id)
+            self._version += 1
             if not members:
                 del self._servers[server_id]
                 del self._signatures[server_id]
@@ -280,9 +424,8 @@ class FleetState:
             else:
                 # Drop one occurrence of the departing entry; removal
                 # from a sorted tuple keeps it canonical.
-                sig = self._signatures[server_id]
                 i = sig.index(entry_of(session))
-                self._signatures[server_id] = sig[:i] + sig[i + 1 :]
+                self._file(server_id, sig[:i] + sig[i + 1 :])
             removed += 1
             if session.degraded:
                 self._n_degraded -= 1
@@ -320,9 +463,9 @@ class FleetState:
         members[pos] = (member_id, session)
         sig = self._signatures[server_id]
         i = sig.index(entry_of(old))
-        self._signatures[server_id] = signature_add(
-            sig[:i] + sig[i + 1 :], entry_of(session)
-        )
+        self._unfile(server_id)
+        self._file(server_id, signature_add(sig[:i] + sig[i + 1 :], entry_of(session)))
+        self._version += 1
         self._n_degraded += int(session.degraded) - int(old.degraded)
         hook = getattr(self.observer, "fleet_resolution_changed", None)
         if callable(hook):
@@ -339,6 +482,8 @@ class FleetState:
         are skipped by :meth:`pop_departures`.
         """
         members = self._servers.pop(server_id)
+        self._unfile(server_id)
+        self._version += 1
         del self._signatures[server_id]
         self._ids.remove(server_id)
         self._n_live -= len(members)

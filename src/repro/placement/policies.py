@@ -15,6 +15,15 @@ The prediction-guided policies route all model queries through a shared
 so scanning a pool of candidate servers costs one model invocation, not
 one per candidate.  Predictors that lack the batched endpoints are
 still served via per-candidate calls.
+
+Every policy's verdict on a server depends only on the server's
+signature, so the scans walk *distinct* signatures
+(:func:`repro.placement.signature.signature_groups`), each at the pool
+index of its first server, and keep the earliest of equals.  That picks
+the server a per-server scan would pick, while a scan costs the number
+of distinct non-full signatures rather than the number of open servers.
+The prediction-guided policies also memoize each candidate signature and
+its cache key per ``(sig id, entry)``.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from repro.placement.signature import (
     colocation_key,
     entry_of,
     signature_add,
+    signature_groups,
 )
 
 __all__ = [
@@ -68,30 +78,58 @@ class AdmissionPolicy(Protocol):
         ...
 
 
-def _candidates(
-    signatures: list[Signature], session, max_colocation: int
-) -> list[tuple[int, Signature]]:
-    """Non-full servers with the candidate signature after adding the session."""
-    entry = entry_of(session)
-    return [
-        (idx, signature_add(sig, entry))
-        for idx, sig in enumerate(signatures)
-        if len(sig) < max_colocation
-    ]
+#: Memoized candidates a policy keeps before starting over, so ids a
+#: fleet has swept away cannot grow the memo without bound.
+_MEMO_LIMIT = 2048
 
 
 class _InstrumentedPolicy:
-    """Shared observability plumbing for the prediction-guided policies.
+    """Shared plumbing for the prediction-guided policies.
 
     The admission controller calls :meth:`instrument` once at
     construction; the tracer/telemetry sinks then flow down into the
     wrapped predictor so cache lookups, feature assembly and model
     evaluation all land in the same per-request trace.
+
+    :meth:`_candidates` is the shared grouped scan.
     """
 
     predictor = None
     telemetry = None
     tracer = NOOP_TRACER
+
+    def __init__(self) -> None:
+        # (entry, floor) -> sig id -> (candidate signature, cache key).
+        self._memo: dict[tuple, dict[int, tuple[Signature, tuple]]] = {}
+        self._memo_size = 0
+
+    def _candidates(
+        self, signatures: list[Signature], session, floor: float | None
+    ) -> list[tuple[int, int, Signature, tuple]]:
+        """Distinct non-full servers as ``(first index, size, candidate, key)``.
+
+        ``candidate`` is the server's signature after adding the session
+        and ``key`` its cache key at ``floor``; both are memoized per sig
+        id, so a warm scan hashes ints only.
+        """
+        if self._memo_size > _MEMO_LIMIT:
+            self._memo.clear()
+            self._memo_size = 0
+        entry = entry_of(session)
+        memo = self._memo.get((entry, floor))
+        if memo is None:
+            memo = self._memo[(entry, floor)] = {}
+        out = []
+        for idx, sig_id, sig in signature_groups(signatures, self.max_colocation):
+            known = memo.get(sig_id)
+            if known is None:
+                candidate = signature_add(sig, entry)
+                known = (candidate, colocation_key(candidate, floor))
+                if sig_id is not None:
+                    memo[sig_id] = known
+                    self._memo_size += 1
+            out.append((idx, len(sig), known[0], known[1]))
+        return out
 
     def instrument(self, telemetry=None, tracer=None) -> None:
         """Attach telemetry/tracer sinks, forwarding to the predictor."""
@@ -136,6 +174,7 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
     ):
         if margin < 1.0:
             raise ValueError("margin must be >= 1.0")
+        super().__init__()
         self.predictor = predictor
         self.qos = float(qos)
         self.margin = float(margin)
@@ -158,45 +197,42 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
         # still answer, one colocation at a time.
         return [self.predictor.colocation_feasible(spec, floor) for spec in specs]
 
-    def _verdicts(self, candidate_sigs: list[Signature]) -> dict[Signature, bool]:
+    def _verdicts(self, candidates: list[tuple[Signature, tuple]]) -> list[bool]:
+        """CM verdicts for distinct ``(signature, cache key)`` candidates, in order."""
         floor = self.qos * self.margin
-        verdicts: dict[Signature, bool] = {}
-        unknown: list[Signature] = []
-        # Set mirror of `unknown` so the seen-check is O(1); the list
-        # keeps the deterministic query order the cache-fill relies on.
-        pending: set[Signature] = set()
+        verdicts: list = [None] * len(candidates)
+        unknown: list[int] = []
         with self.tracer.span("cache", policy=self.name) as span:
-            for sig in candidate_sigs:
-                if sig in verdicts or sig in pending:
-                    continue
-                hit = self.cache.lookup(colocation_key(sig, floor), None)
+            for i, (_, key) in enumerate(candidates):
+                hit = self.cache.lookup(key, None)
                 if hit is not None:
-                    verdicts[sig] = hit
+                    verdicts[i] = hit
                 else:
-                    unknown.append(sig)
-                    pending.add(sig)
-            span.set(hits=len(verdicts), misses=len(unknown))
+                    unknown.append(i)
+            span.set(hits=len(candidates) - len(unknown), misses=len(unknown))
         with self.tracer.span(
             "predict", policy=self.name, batched=len(unknown), cached=not unknown
         ):
             if unknown:
-                feasible = self._query([ColocationSpec(sig) for sig in unknown], floor)
-                for sig, verdict in zip(unknown, feasible):
+                feasible = self._query(
+                    [ColocationSpec(candidates[i][0]) for i in unknown], floor
+                )
+                for i, verdict in zip(unknown, feasible):
                     verdict = bool(verdict)
-                    verdicts[sig] = verdict
-                    self.cache.put(colocation_key(sig, floor), verdict)
+                    verdicts[i] = verdict
+                    self.cache.put(candidates[i][1], verdict)
             else:
                 self._count("predict_cache_shortcuts", policy=self.name)
         return verdicts
 
     def select(self, signatures: list[Signature], session) -> int | None:
         """Fullest server the CM predicts stays feasible; ``None`` otherwise."""
-        candidates = _candidates(signatures, session, self.max_colocation)
-        verdicts = self._verdicts([sig for _, sig in candidates])
+        candidates = self._candidates(signatures, session, self.qos * self.margin)
+        verdicts = self._verdicts([(cand, key) for _, _, cand, key in candidates])
         best, best_size = None, -1
-        for idx, candidate in candidates:
-            if verdicts[candidate] and len(signatures[idx]) > best_size:
-                best, best_size = idx, len(signatures[idx])
+        for (idx, size, _, _), feasible in zip(candidates, verdicts):
+            if feasible and size > best_size:
+                best, best_size = idx, size
         return best
 
     def group_feasible(self, signature: Signature) -> bool:
@@ -208,7 +244,8 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
         """
         if len(signature) > self.max_colocation:
             return False
-        return self._verdicts([signature])[signature]
+        key = colocation_key(signature, self.qos * self.margin)
+        return self._verdicts([(signature, key)])[0]
 
 
 class MaxFPSPolicy(_InstrumentedPolicy):
@@ -231,52 +268,45 @@ class MaxFPSPolicy(_InstrumentedPolicy):
         cache: PredictionCache | None = None,
         max_colocation: int = 4,
     ):
+        super().__init__()
         self.predictor = predictor
         self.qos = float(qos)
         self.max_colocation = int(max_colocation)
         self.cache = cache if cache is not None else PredictionCache()
 
-    def _fps(self, candidate_sigs: list[Signature]) -> dict[Signature, tuple]:
-        fps: dict[Signature, tuple] = {}
-        unknown: list[Signature] = []
-        # Set mirror of `unknown` so the seen-check is O(1); the list
-        # keeps the deterministic query order the cache-fill relies on.
-        pending: set[Signature] = set()
+    def _fps(self, candidates: list[tuple[Signature, tuple]]) -> list[tuple]:
+        """RM FPS vectors for distinct ``(signature, cache key)`` candidates."""
+        fps: list = [None] * len(candidates)
+        unknown: list[int] = []
         with self.tracer.span("cache", policy=self.name) as span:
-            for sig in candidate_sigs:
-                if sig in fps:
-                    continue
-                hit = self.cache.lookup(colocation_key(sig), None)
+            for i, (_, key) in enumerate(candidates):
+                hit = self.cache.lookup(key, None)
                 if hit is not None:
-                    fps[sig] = hit
-                elif sig not in pending:
-                    unknown.append(sig)
-                    pending.add(sig)
-            span.set(hits=len(fps), misses=len(unknown))
+                    fps[i] = hit
+                else:
+                    unknown.append(i)
+            span.set(hits=len(candidates) - len(unknown), misses=len(unknown))
         with self.tracer.span(
             "predict", policy=self.name, batched=len(unknown), cached=not unknown
         ):
             if unknown:
                 batched = self.predictor.predict_fps_batch(
-                    [ColocationSpec(sig) for sig in unknown]
+                    [ColocationSpec(candidates[i][0]) for i in unknown]
                 )
-                for sig, values in zip(unknown, batched):
+                for i, values in zip(unknown, batched):
                     values = tuple(float(v) for v in values)
-                    fps[sig] = values
-                    self.cache.put(colocation_key(sig), values)
+                    fps[i] = values
+                    self.cache.put(candidates[i][1], values)
             else:
                 self._count("predict_cache_shortcuts", policy=self.name)
         return fps
 
     def select(self, signatures: list[Signature], session) -> int | None:
         """Feasible server maximizing predicted total FPS; ``None`` otherwise."""
-        candidates = _candidates(signatures, session, self.max_colocation)
-        fps = self._fps([sig for _, sig in candidates])
-        if not candidates:
-            return None
+        candidates = self._candidates(signatures, session, None)
+        fps = self._fps([(cand, key) for _, _, cand, key in candidates])
         best, best_total = None, -np.inf
-        for idx, candidate in candidates:
-            values = fps[candidate]
+        for (idx, _, _, _), values in zip(candidates, fps):
             if min(values) < self.qos:
                 continue
             total = sum(values)
@@ -288,7 +318,7 @@ class MaxFPSPolicy(_InstrumentedPolicy):
         """RM verdict for one whole colocation: every member meets the floor."""
         if len(signature) > self.max_colocation:
             return False
-        return min(self._fps([signature])[signature]) >= self.qos
+        return min(self._fps([(signature, colocation_key(signature))])[0]) >= self.qos
 
 
 class WorstFitPolicy:
@@ -308,9 +338,7 @@ class WorstFitPolicy:
     def select(self, signatures: list[Signature], session) -> int | None:
         """Fitting server with maximal slack; ``None`` when nothing fits."""
         best, best_slack = None, -np.inf
-        for idx, sig in enumerate(signatures):
-            if len(sig) >= self.max_colocation:
-                continue
+        for idx, _, sig in signature_groups(signatures, self.max_colocation):
             spec = ColocationSpec(sig) if sig else None
             if not self.vbp.fits_after_adding(spec, session.game, session.resolution):
                 continue
@@ -337,9 +365,7 @@ class VBPFirstFitPolicy:
 
     def select(self, signatures: list[Signature], session) -> int | None:
         """First fitting server in pool order; ``None`` when nothing fits."""
-        for idx, sig in enumerate(signatures):
-            if len(sig) >= self.max_colocation:
-                continue
+        for idx, _, sig in signature_groups(signatures, self.max_colocation):
             spec = ColocationSpec(sig) if sig else None
             if self.vbp.fits_after_adding(spec, session.game, session.resolution):
                 return idx

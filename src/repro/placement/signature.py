@@ -15,6 +15,13 @@ Everything placement-shaped builds on these helpers: the
 :class:`~repro.placement.fleet.FleetState` bookkeeping, the admission
 policies' candidate construction, and the
 :class:`~repro.placement.cache.PredictionCache` key schema.
+
+Every policy's candidate scan depends on a server only through its
+signature, so policies scan *distinct* signatures:
+:func:`signature_groups` lists each one once, at the pool index of its
+first server.  A fleet's :meth:`~repro.placement.fleet.FleetState.signatures`
+list answers from the fleet's incremental signature index; any other
+list is grouped in one pass.
 """
 
 from __future__ import annotations
@@ -29,10 +36,18 @@ __all__ = [
     "signature_of",
     "signature_add",
     "colocation_key",
+    "SignatureGroup",
+    "signature_groups",
+    "group_plain",
 ]
 
 #: A server signature: sorted tuple of (game, resolution) entries.
 Signature = tuple[tuple[str, Resolution], ...]
+
+#: One distinct signature of a pool: ``(first index, sig id, signature)``.
+#: ``first index`` is the position of its first server in the pool list;
+#: ``sig id`` is the fleet's interned int id, or ``None`` for a plain list.
+SignatureGroup = tuple[int, int | None, Signature]
 
 
 def entry_of(session) -> tuple[str, Resolution]:
@@ -69,3 +84,32 @@ def colocation_key(
         sorted((name, res.width, res.height) for name, res in entries)
     )
     return (signature, None if qos is None else float(qos))
+
+
+def signature_groups(
+    signatures: list[Signature], max_size: int | None = None
+) -> list[SignatureGroup]:
+    """Distinct signatures with fewer than ``max_size`` entries, first-index order.
+
+    A list returned by :meth:`repro.placement.fleet.FleetState.signatures`
+    answers from the fleet's signature index without touching its
+    servers; any other list is grouped here in one pass.  Either way a
+    group's index is the position of its first server, so scanning the
+    groups in order and keeping the earliest of equals picks the same
+    server as scanning every position would.
+    """
+    indexed = getattr(signatures, "groups", None)
+    if indexed is not None:
+        return indexed(max_size)
+    return group_plain(signatures, max_size)
+
+
+def group_plain(
+    signatures: list[Signature], max_size: int | None = None
+) -> list[SignatureGroup]:
+    """:func:`signature_groups` for a plain list: one pass, no sig ids."""
+    first: dict[Signature, int] = {}
+    for idx, sig in enumerate(signatures):
+        if (max_size is None or len(sig) < max_size) and sig not in first:
+            first[sig] = idx
+    return [(idx, None, sig) for sig, idx in first.items()]

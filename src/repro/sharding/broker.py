@@ -1,22 +1,22 @@
 """The sharded serving tier: N broker shards behind one router.
 
 A single :class:`~repro.serving.RequestBroker` is an event loop over one
-fleet; at millions of sessions its decision cost grows with the pool and
-one Python thread caps throughput.  :class:`ShardedBroker` scales the
-tier *out* instead: arrivals are routed by canonical game signature over
-a consistent-hash ring (:class:`~repro.sharding.ShardRouter`) onto N
-shard workers, each owning a full, independent serving stack — its own
+fleet, and its candidate scan walks distinct signatures, so its decision
+cost does not grow with the pool.  :class:`ShardedBroker` splits the
+tier into independent failure and cache domains: arrivals are routed by
+canonical game signature over a consistent-hash ring
+(:class:`~repro.sharding.ShardRouter`) onto N shard workers, each owning a full, independent serving stack — its own
 :class:`~repro.placement.FleetState`, decision engine, prediction cache,
 telemetry and tracer.  Shards share only immutable inputs (the profile
 database and trained models, behind per-shard predictor facades), so
-they drain concurrently without locks and every shard is a deterministic
-function of its own arrival subsequence and seed
+they could drain concurrently without locks, and every shard is a
+deterministic function of its own arrival subsequence and seed
 (``derive_seed(seed, "shard", shard_id)`` for chaos substreams).
 
 The drain alternates routing and serving in chunks: the coordinator
 routes a chunk of the arrival-ordered trace into per-shard batches, the
-workers drain their batches in parallel, and the chunk boundary is a
-barrier where the :class:`~repro.sharding.Rebalancer` (if configured)
+shards drain their batches one after another, and the chunk boundary is
+a barrier where the :class:`~repro.sharding.Rebalancer` (if configured)
 may migrate sessions between quiescent shards — which is what keeps
 rebalanced runs deterministic under a fixed seed.
 
@@ -37,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as DrainTimeout
 from dataclasses import dataclass, field
 from itertools import islice
+from time import perf_counter
 
 from repro.games.resolution import DegradeLadder
 from repro.obs.metrics import Telemetry, label_snapshot, merge_all
@@ -271,10 +272,14 @@ class ShardedBroker:
     """Coordinator: route a trace across shard brokers and merge reports.
 
     ``brokers`` own all mutable serving state; the coordinator owns only
-    the router, its own telemetry, and the drain loop.  ``parallel=False``
-    drains shards sequentially on the calling thread (useful under
-    profilers); results are identical either way because workers share
-    nothing.
+    the router, its own telemetry, and the drain loop.  Each chunk's shard
+    batches drain one after another on the calling thread;
+    ``parallel=True`` drains them on a worker pool instead.  Results are
+    identical either way because workers share nothing.  The pool is off
+    by default: a shard drain is pure Python, so under the GIL the pool
+    cannot overlap the shards.  It interleaves them, pays a thread
+    wake-up per batch and a GIL hand-off every switch interval, and each
+    hand-off stalls one decision for that interval.
     """
 
     def __init__(
@@ -286,7 +291,7 @@ class ShardedBroker:
         supervisor: ShardSupervisor | None = None,
         telemetry: Telemetry | None = None,
         tracer: Tracer | None = None,
-        parallel: bool = True,
+        parallel: bool = False,
         chunk_size: int | None = None,
     ):
         if not brokers:
@@ -419,9 +424,16 @@ class ShardedBroker:
                             ).inc()
                             future.result()
                 else:
+                    # Nothing can interrupt the calling thread, so the
+                    # tripwire times each drain after the fact.
                     for shard_id, batch in enumerate(batches):
-                        if batch:
-                            self._drain(shard_id, batch)
+                        if not batch:
+                            continue
+                        started = perf_counter()
+                        self._drain(shard_id, batch)
+                        elapsed = perf_counter() - started
+                        if deadline is not None and elapsed > deadline:
+                            self.telemetry.counter("drain_deadline_exceeded").inc()
                 # Chunk boundary: every worker is quiescent, so shard
                 # occupancies are stable and migration is deterministic.
                 if self.rebalancer is not None:

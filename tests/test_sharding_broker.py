@@ -335,6 +335,11 @@ class TestShardedBrokerWiring:
         explicit = ShardedBroker(brokers, rebalancer=rebalancer, chunk_size=7)
         assert explicit.chunk_size == 7
 
+    def test_drains_serially_by_default(self):
+        brokers = [_dedicated_broker(), _dedicated_broker()]
+        assert ShardedBroker(brokers).parallel is False
+        assert ShardedBroker(brokers, parallel=True).parallel is True
+
     def test_presorted_stream_matches_sorted_run(self):
         games = ["a", "b", "c", "d", "e", "f"]
         trace = [

@@ -220,6 +220,26 @@ class TestSupervisorConfig:
         assert [config.backoff_base_s * 2**i for i in range(3)] == [0.5, 1.0, 2.0]
 
 
+class TestDrainDeadline:
+    def test_serial_drain_counts_overruns(self, predictor, trace):
+        # Every drain outlasts a nanosecond, so each shard batch of each
+        # chunk counts as one overrun, and no session is lost.
+        report = _run(
+            predictor,
+            trace,
+            chaos=ShardChaosConfig(flake_rate=0.1, seed=2),
+            supervision=SupervisorConfig(drain_deadline_s=1e-9),
+        )
+        assert report.n_sessions == len(trace)
+        assert report.coordinator["counters"]["drain_deadline_exceeded"] > 0
+
+    def test_no_deadline_no_counter(self, predictor, trace):
+        report = _run(
+            predictor, trace, chaos=ShardChaosConfig(flake_rate=0.1, seed=2)
+        )
+        assert "drain_deadline_exceeded" not in report.coordinator["counters"]
+
+
 class TestPassThrough:
     def test_inactive_supervisor_is_byte_identical(self, predictor, trace):
         plain = _run(predictor, trace)
