@@ -217,16 +217,9 @@ def _parse_degrade_flags(args):
 
 
 def _cmd_serve(args) -> int:
-    from repro.obs import Telemetry, Tracer
-    from repro.placement import BreakerConfig, PredictionCache, build_policy
-    from repro.serving import (
-        AdmissionController,
-        FaultConfig,
-        FaultInjector,
-        RequestBroker,
-        TraceConfig,
-        generate_trace,
-    )
+    from repro.obs import Tracer
+    from repro.serving import TraceConfig, generate_trace
+    from repro.sharding import ShardConfig, build_broker
 
     if args.shards is not None and args.shards < 1:
         raise ValueError(f"--shards must be >= 1, got {args.shards}")
@@ -255,6 +248,13 @@ def _cmd_serve(args) -> int:
     if args.restore_interval is not None and args.degrade_ladder is None:
         print("--restore-interval requires --degrade-ladder", file=sys.stderr)
         return 2
+    if args.restore_interval is not None and args.shards:
+        print(
+            "--restore-interval is unsharded-only (shards restore at chunk "
+            "barriers)",
+            file=sys.stderr,
+        )
+        return 2
     ladder, restore_interval = _parse_degrade_flags(args)
     if args.rebalance_interval and not args.shards:
         print("--rebalance-interval requires --shards", file=sys.stderr)
@@ -279,69 +279,59 @@ def _cmd_serve(args) -> int:
         seed=args.trace_seed,
     )
     sessions = generate_trace(predictor.db.names(), trace_config)
-    if args.shards:
-        return _serve_sharded(
-            args, predictor, sessions, trace_config,
-            slo_fps=slo_fps, qos_budget=qos_budget,
-            ladder=ladder, restore_interval=restore_interval,
-        )
-    telemetry = Telemetry()
-    fault_config = FaultConfig(error_rate=args.fault_rate, seed=args.trace_seed)
-    injector = (
-        FaultInjector(fault_config, telemetry=telemetry)
-        if fault_config.active
-        else None
-    )
-    cache = PredictionCache(args.cache_size)
-    policy, fallback = build_policy(
-        args.policy,
-        predictor=predictor,
+    config = ShardConfig(
+        policy=args.policy,
         qos=args.qos,
-        cache=cache,
+        cache_size=args.cache_size,
         max_colocation=args.max_colocation,
-        injector=injector,
-    )
-    deadline_s = (
-        args.decision_deadline_ms / 1000.0
-        if args.decision_deadline_ms is not None
-        else None
-    )
-    tracer = Tracer(enabled=args.trace_out is not None)
-    controller = AdmissionController(
-        policy,
-        fallback=fallback,
-        telemetry=telemetry,
-        breaker=BreakerConfig(failure_threshold=args.breaker_threshold),
-        decision_deadline_s=deadline_s,
-        tracer=tracer,
-        downscale_ladder=ladder,
-    )
-    ledger = None
-    if slo_fps is not None:
-        from repro.obs import QoSLedger
-
-        ledger = QoSLedger(
-            build_catalog(args.seed),
-            predictor,
-            slo_fps=slo_fps,
-            budget_fraction=qos_budget,
-        )
-    broker = RequestBroker(
-        controller,
+        fault_rate=args.fault_rate,
         crash_rate=args.crash_rate,
-        crash_seed=args.trace_seed,
-        ledger=ledger,
-        restore_interval=restore_interval,
+        decision_deadline_s=(
+            args.decision_deadline_ms / 1000.0
+            if args.decision_deadline_ms is not None
+            else None
+        ),
+        breaker_threshold=args.breaker_threshold,
+        seed=args.trace_seed,
+        slo_fps=slo_fps,
+        qos_budget=qos_budget,
+        degrade_ladder=ladder,
     )
+    catalog = build_catalog(args.seed) if slo_fps is not None else None
+    tracing = args.trace_out is not None
+    if args.shards:
+        broker = _sharded_broker(args, predictor, config, catalog, tracing)
+        tracers = [broker.tracer, *(shard.tracer for shard in broker.brokers)]
+        # Shards re-promote degraded sessions at chunk barriers only.
+        restore_interval = broker.chunk_size
+    else:
+        broker = build_broker(
+            predictor,
+            config,
+            seed=args.trace_seed,
+            tracer=Tracer() if tracing else None,
+            catalog=catalog,
+            restore_interval=restore_interval,
+        )
+        tracers = [broker.tracer]
     report = broker.run(sessions)
-    if args.trace_out:
-        if args.trace_format == "chrome":
-            tracer.export_chrome_trace(args.trace_out)
-        else:
-            tracer.export_jsonl(args.trace_out)
-        print(f"wrote {args.trace_out} ({tracer.n_traces} request traces)")
+    if tracing:
+        _export_traces(args, tracers)
     payload = report.to_dict()
-    payload["config"] = {
+    payload["config"] = _serve_config_payload(
+        args, config, trace_config, broker, restore_interval
+    )
+    _write_or_print(json.dumps(payload, indent=2), args.out)
+    return 0
+
+
+def _serve_config_payload(args, config, trace_config, broker, restore_interval):
+    """The ``config`` section of a ``repro serve`` report.
+
+    Optional keys appear only when their feature ran, so reports of runs
+    without it stay byte-identical to releases that predate it.
+    """
+    payload = {
         "policy": args.policy,
         "qos": args.qos,
         "cache_size": args.cache_size,
@@ -350,43 +340,55 @@ def _cmd_serve(args) -> int:
         "crash_rate": args.crash_rate,
         "decision_deadline_ms": args.decision_deadline_ms,
         "breaker_threshold": args.breaker_threshold,
-        "trace": trace_config.to_dict(),
     }
-    if slo_fps is not None:
-        # QoS keys appear only when the ledger ran, so ledger-less
-        # reports stay byte-identical to previous releases.
-        payload["config"]["slo_fps"] = slo_fps
-        payload["config"]["qos_budget"] = qos_budget
-    if ladder is not None:
-        # Degrade keys likewise appear only when the actuator is armed.
-        payload["config"]["degrade_ladder"] = ladder.to_list()
-        payload["config"]["restore_interval"] = restore_interval
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
+    if args.shards:
+        payload["shards"] = args.shards
+        payload["rebalance_interval"] = args.rebalance_interval or 0
+    payload["trace"] = trace_config.to_dict()
+    supervisor = broker.supervisor if args.shards else None
+    if supervisor is not None:
+        payload["shard_chaos"] = supervisor.chaos.config.to_dict()
+        payload["min_healthy_shards"] = args.min_healthy_shards
+    if config.slo_fps is not None:
+        payload["slo_fps"] = config.slo_fps
+        payload["qos_budget"] = config.qos_budget
+    if config.degrade_ladder is not None:
+        payload["degrade_ladder"] = config.degrade_ladder.to_list()
+        payload["restore_interval"] = restore_interval
+    return payload
+
+
+def _export_traces(args, tracers) -> None:
+    """Write ``tracers[0]`` to ``--trace-out``, each later one to a sibling.
+
+    With ``--shards`` the first tracer holds the coordinator's spans
+    (route, migrate) and tracer ``i + 1`` shard ``i``'s request spans,
+    written to ``<stem>.shard<i><ext>``.  Span ids are only unique within
+    one tracer, so the files must not be merged.
+    """
+    stem, ext = os.path.splitext(args.trace_out)
+    paths = [args.trace_out] + [
+        f"{stem}.shard{shard_id}{ext}" for shard_id in range(len(tracers) - 1)
+    ]
+    for path, tracer in zip(paths, tracers):
+        if args.trace_format == "chrome":
+            tracer.export_chrome_trace(path)
+        else:
+            tracer.export_jsonl(path)
+    if len(tracers) == 1:
+        print(f"wrote {args.trace_out} ({tracers[0].n_traces} request traces)")
     else:
-        print(text)
-    return 0
+        print(f"wrote {args.trace_out} (+{len(tracers) - 1} shard trace files)")
 
 
-def _shard_trace_path(base: str, shard_id: int) -> str:
-    stem, ext = os.path.splitext(base)
-    return f"{stem}.shard{shard_id}{ext}"
-
-
-def _serve_sharded(
-    args, predictor, sessions, trace_config, *, slo_fps=None, qos_budget=0.05,
-    ladder=None, restore_interval=None,
-) -> int:
+def _sharded_broker(args, predictor, config, catalog, tracing):
+    """The ``--shards`` coordinator over one :func:`build_broker` per shard."""
     from repro.obs import Telemetry, Tracer
     from repro.sharding import (
         RebalanceConfig,
         Rebalancer,
         ShardChaos,
         ShardChaosConfig,
-        ShardConfig,
         ShardedBroker,
         ShardSupervisor,
         SupervisorConfig,
@@ -394,37 +396,14 @@ def _serve_sharded(
         parse_outage_window,
     )
 
-    tracing = args.trace_out is not None
     telemetry = Telemetry()
     tracer = Tracer(enabled=tracing)
-    deadline_s = (
-        args.decision_deadline_ms / 1000.0
-        if args.decision_deadline_ms is not None
-        else None
-    )
-    config = ShardConfig(
-        policy=args.policy,
-        qos=args.qos,
-        cache_size=args.cache_size,
-        max_colocation=args.max_colocation,
-        fault_rate=args.fault_rate,
-        crash_rate=args.crash_rate,
-        decision_deadline_s=deadline_s,
-        breaker_threshold=args.breaker_threshold,
-        seed=args.trace_seed,
-        slo_fps=slo_fps,
-        qos_budget=qos_budget,
-        degrade_ladder=ladder,
-    )
-    shard_tracers = (
-        [Tracer(enabled=True) for _ in range(args.shards)] if tracing else None
-    )
     brokers = build_shard_brokers(
         predictor,
         args.shards,
         config,
-        tracers=shard_tracers,
-        catalog=build_catalog(args.seed) if slo_fps is not None else None,
+        tracers=[Tracer() for _ in range(args.shards)] if tracing else None,
+        catalog=catalog,
     )
     rebalancer = (
         Rebalancer(
@@ -452,55 +431,13 @@ def _serve_sharded(
         if chaos_config.active
         else None
     )
-    broker = ShardedBroker(
+    return ShardedBroker(
         brokers,
         rebalancer=rebalancer,
         supervisor=supervisor,
         telemetry=telemetry,
         tracer=tracer,
     )
-    report = broker.run(sessions)
-    if tracing:
-        # Coordinator spans (route/migrate) go to the named file; each
-        # shard's request spans to a .shardN sibling (span ids are only
-        # unique within one tracer, so the files must not be merged).
-        exports = [(args.trace_out, tracer)] + [
-            (_shard_trace_path(args.trace_out, shard_id), shard_tracer)
-            for shard_id, shard_tracer in enumerate(shard_tracers)
-        ]
-        for path, t in exports:
-            if args.trace_format == "chrome":
-                t.export_chrome_trace(path)
-            else:
-                t.export_jsonl(path)
-        print(f"wrote {args.trace_out} (+{len(shard_tracers)} shard trace files)")
-    payload = report.to_dict()
-    payload["config"] = {
-        "policy": args.policy,
-        "qos": args.qos,
-        "cache_size": args.cache_size,
-        "max_colocation": args.max_colocation,
-        "fault_rate": args.fault_rate,
-        "crash_rate": args.crash_rate,
-        "decision_deadline_ms": args.decision_deadline_ms,
-        "breaker_threshold": args.breaker_threshold,
-        "shards": args.shards,
-        "rebalance_interval": args.rebalance_interval or 0,
-        "trace": trace_config.to_dict(),
-    }
-    if supervisor is not None:
-        # Chaos/supervision keys appear only when the supervisor ran, so
-        # zero-chaos reports stay byte-identical to pre-supervision runs.
-        payload["config"]["shard_chaos"] = chaos_config.to_dict()
-        payload["config"]["min_healthy_shards"] = args.min_healthy_shards
-    if slo_fps is not None:
-        payload["config"]["slo_fps"] = slo_fps
-        payload["config"]["qos_budget"] = qos_budget
-    if ladder is not None:
-        payload["config"]["degrade_ladder"] = ladder.to_list()
-        payload["config"]["restore_interval"] = restore_interval
-    _write_or_print(json.dumps(payload, indent=2), args.out)
-    return 0
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -798,8 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="with --degrade-ladder: re-promote degraded sessions every N "
-        "arrivals when freed capacity allows (default 256; sharded runs "
-        "restore at chunk barriers instead)",
+        "arrivals when freed capacity allows (default 256; unsharded only, "
+        "since sharded runs restore at chunk barriers)",
     )
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument(

@@ -4,15 +4,15 @@ The paper's predictions are cheap enough to run at request-arrival time
 (Section 5); this package supplies the component that actually does so in
 a fleet — a discrete-event :class:`RequestBroker` consuming a session
 trace and driving the shared placement core (:mod:`repro.placement`):
-the :class:`AdmissionController` (the serving face of
-:class:`repro.placement.DecisionEngine`) evaluates candidate servers
+the :class:`repro.placement.DecisionEngine` evaluates candidate servers
 through pluggable policies with graceful fallback, a canonical-key LRU
 :class:`PredictionCache` over the predictor's batched API, and
 :class:`Telemetry` (counters + latency histograms + event log) exposed as
 one JSON snapshot.  ``python -m repro serve`` wires it all together.
 The policy, cache, breaker and telemetry names re-exported here live in
 :mod:`repro.placement` and :mod:`repro.obs` since the placement-core
-refactor; importing them from ``repro.serving`` remains supported.
+refactor; importing them from ``repro.serving`` remains supported, as
+does ``AdmissionController``, a plain alias of ``DecisionEngine``.
 
 The fault-tolerance layer keeps the dispatcher up when components fail:
 a seeded :class:`FaultInjector` wraps policies/predictors/caches with
@@ -34,6 +34,7 @@ from repro.obs.metrics import (
 )
 from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.cache import PredictionCache, colocation_key
+from repro.placement.engine import AdmissionDecision, DecisionEngine, Mode
 from repro.placement.policies import (
     POLICY_NAMES,
     AdmissionPolicy,
@@ -44,7 +45,6 @@ from repro.placement.policies import (
     WorstFitPolicy,
     build_policy,
 )
-from repro.serving.admission import AdmissionController, AdmissionDecision, Mode
 from repro.serving.broker import PlacementRecord, RequestBroker, ServingReport
 from repro.serving.faults import (
     FaultConfig,
@@ -55,6 +55,8 @@ from repro.serving.faults import (
     InjectedFault,
 )
 from repro.serving.loadgen import TraceConfig, generate_trace
+
+AdmissionController = DecisionEngine
 
 __all__ = [
     "AdmissionController",

@@ -4,20 +4,22 @@ The scale-out tier above the single-fleet serving stack
 (:mod:`repro.serving`).  A consistent-hash ring (:class:`HashRing`)
 routes sessions by canonical game signature (:class:`ShardRouter`) onto
 N independent broker shards (:class:`ShardedBroker` +
-:func:`build_shard_brokers`), an occupancy-driven :class:`Rebalancer`
-migrates sessions off hot shards between drain chunks, and a
-:class:`ShardSupervisor` keeps the tier alive through whole-shard
-outages — seeded chaos (:class:`ShardChaos`) kills shards, the
-supervisor ejects them from the ring, fails their sessions over, and
-readmits them after half-open probing.  Per-shard telemetry merges into
-one shard-labeled snapshot; ``repro serve --shards N`` is the CLI
-frontend and ``benchmarks/bench_sharded.py`` the scale proof.
+:func:`build_shard_brokers`, one :func:`build_broker` stack each), an
+occupancy-driven :class:`Rebalancer` migrates sessions off hot shards
+between drain chunks, and a :class:`ShardSupervisor` keeps the tier
+alive through whole-shard outages — seeded chaos (:class:`ShardChaos`)
+kills shards, the supervisor ejects them from the ring, fails their
+sessions over, and readmits them after half-open probing.  Per-shard
+telemetry merges into one shard-labeled snapshot; ``repro serve
+--shards N`` is the CLI frontend and ``benchmarks/bench_sharded.py`` the
+scale proof.
 """
 
 from repro.sharding.broker import (
     ShardConfig,
     ShardedBroker,
     ShardedReport,
+    build_broker,
     build_shard_brokers,
 )
 from repro.sharding.chaos import (
@@ -39,6 +41,7 @@ __all__ = [
     "ShardConfig",
     "ShardedBroker",
     "ShardedReport",
+    "build_broker",
     "build_shard_brokers",
     "RebalanceConfig",
     "Rebalancer",

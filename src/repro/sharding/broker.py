@@ -5,36 +5,37 @@ fleet, and its candidate scan walks distinct signatures, so its decision
 cost does not grow with the pool.  :class:`ShardedBroker` splits the
 tier into independent failure and cache domains: arrivals are routed by
 canonical game signature over a consistent-hash ring
-(:class:`~repro.sharding.ShardRouter`) onto N shard workers, each owning a full, independent serving stack — its own
+(:class:`~repro.sharding.ShardRouter`) onto N shards, each a full,
+independent serving stack from :func:`build_broker` — its own
 :class:`~repro.placement.FleetState`, decision engine, prediction cache,
 telemetry and tracer.  Shards share only immutable inputs (the profile
 database and trained models, behind per-shard predictor facades), so
-they could drain concurrently without locks, and every shard is a
-deterministic function of its own arrival subsequence and seed
-(``derive_seed(seed, "shard", shard_id)`` for chaos substreams).
+every shard is a deterministic function of its own arrival subsequence
+and seed (``derive_seed(seed, "shard", shard_id)`` for chaos
+substreams).  Isolation comes from that separate state, not from
+threads: shards drain one after another on the calling thread.
 
 The drain alternates routing and serving in chunks: the coordinator
 routes a chunk of the arrival-ordered trace into per-shard batches, the
-shards drain their batches one after another, and the chunk boundary is
-a barrier where the :class:`~repro.sharding.Rebalancer` (if configured)
-may migrate sessions between quiescent shards — which is what keeps
-rebalanced runs deterministic under a fixed seed.
+shards drain their batches, and the chunk boundary is a barrier where
+the :class:`~repro.sharding.Rebalancer` (if configured) may migrate
+sessions between quiescent shards — which is what keeps rebalanced runs
+deterministic under a fixed seed.  Degraded sessions are re-promoted at
+the same barriers, so the chunk size is the shards' restore interval.
 
 Reporting merges the per-shard telemetry snapshots with
 :func:`~repro.obs.label_snapshot` + :func:`~repro.obs.merge_snapshots`:
 the merged snapshot carries fleet-wide totals at the top level and
 intact per-shard series (``shard`` label) underneath, so one Prometheus
-exposition shows both views.  With one shard the worker replays exactly
-the unsharded broker's code path — ``--shards 1`` telemetry is
-byte-identical to :meth:`RequestBroker.run` at the same seed (the
-parity tests pin this).
+exposition shows both views.  With one shard the coordinator replays
+exactly the unsharded broker's code path — ``--shards 1`` telemetry is
+byte-identical to :meth:`RequestBroker.run` at the same seed (the parity
+tests pin this).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as DrainTimeout
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
@@ -53,22 +54,24 @@ __all__ = [
     "ShardConfig",
     "ShardedReport",
     "ShardedBroker",
+    "build_broker",
     "build_shard_brokers",
 ]
 
 #: Chunk size for the route → drain alternation when no rebalance
-#: interval dictates one: large enough to amortize thread handoff,
-#: small enough to keep per-chunk batch lists cache-friendly.
+#: interval dictates one: large enough to amortize the per-barrier
+#: supervision and restore passes, small enough to keep per-chunk batch
+#: lists cache-friendly.
 DEFAULT_CHUNK = 8192
 
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """Per-shard serving-stack knobs (mirrors ``repro serve``'s flags).
+    """Serving-stack knobs for :func:`build_broker` (``repro serve``'s flags).
 
-    One config builds every shard; the only per-shard variation is the
-    seed-derived chaos substream (``derive_seed(seed, "shard", id)``), so
-    adding a shard never perturbs another shard's randomness.
+    One config builds every stack, sharded or not; only the chaos seed
+    varies per shard (``derive_seed(seed, "shard", id)``), so adding a
+    shard never perturbs another shard's randomness.
     """
 
     policy: str = "cm-feasible"
@@ -93,6 +96,86 @@ class ShardConfig:
     degrade_ladder: DegradeLadder | None = None
 
 
+def build_broker(
+    predictor,
+    config: ShardConfig,
+    *,
+    seed: int,
+    tracer: Tracer | None = None,
+    catalog=None,
+    restore_interval: int | None = None,
+) -> RequestBroker:
+    """Build one complete serving stack over ``predictor``.
+
+    The stack gets its own telemetry, prediction cache, fault injector,
+    policy chain, decision engine, tracer and, with ``config.slo_fps``
+    set, :class:`~repro.obs.qos.QoSLedger` over ``catalog``.  The
+    immutable profile database and models are shared through a fresh
+    :class:`~repro.core.InterferencePredictor` facade, so instrumentation
+    and caches never cross stacks.  ``seed`` drives the fault-injection
+    and server-crash streams; ``restore_interval`` is passed to
+    :class:`~repro.serving.RequestBroker`.
+    """
+    from repro.core.predictor import InterferencePredictor
+    from repro.placement import (
+        BreakerConfig,
+        DecisionEngine,
+        PredictionCache,
+        build_policy,
+    )
+    from repro.serving.faults import FaultConfig, FaultInjector
+
+    if config.slo_fps is not None and catalog is None:
+        raise ValueError("slo_fps accounting needs a game catalog")
+    telemetry = Telemetry()
+    facade = InterferencePredictor(
+        predictor.db,
+        classifier=predictor.classifier,
+        regressor=predictor.regressor,
+    )
+    fault_config = FaultConfig(error_rate=config.fault_rate, seed=seed)
+    injector = (
+        FaultInjector(fault_config, telemetry=telemetry)
+        if fault_config.active
+        else None
+    )
+    policy, fallback = build_policy(
+        config.policy,
+        predictor=facade,
+        qos=config.qos,
+        cache=PredictionCache(config.cache_size),
+        max_colocation=config.max_colocation,
+        injector=injector,
+    )
+    engine = DecisionEngine(
+        policy,
+        fallback=fallback,
+        telemetry=telemetry,
+        breaker=BreakerConfig(failure_threshold=config.breaker_threshold),
+        decision_deadline_s=config.decision_deadline_s,
+        tracer=tracer,
+        downscale_ladder=config.degrade_ladder,
+    )
+    ledger = None
+    if config.slo_fps is not None:
+        from repro.obs.qos import QoSLedger
+
+        ledger = QoSLedger(
+            catalog,
+            facade,
+            slo_fps=config.slo_fps,
+            budget_fraction=config.qos_budget,
+        )
+    return RequestBroker(
+        engine,
+        crash_rate=config.crash_rate,
+        crash_seed=seed,
+        keep_records=config.keep_records,
+        ledger=ledger,
+        restore_interval=restore_interval,
+    )
+
+
 def build_shard_brokers(
     predictor,
     n_shards: int,
@@ -101,85 +184,27 @@ def build_shard_brokers(
     tracers: Sequence[Tracer] | None = None,
     catalog=None,
 ) -> list[RequestBroker]:
-    """Build ``n_shards`` independent broker stacks over one predictor.
+    """Build ``n_shards`` independent :func:`build_broker` stacks.
 
-    Each shard gets its own telemetry, prediction cache, fault injector,
-    policy chain, decision engine and (optionally) tracer; the expensive
-    immutable inputs — profile database and trained models — are shared
-    through a per-shard :class:`~repro.core.InterferencePredictor`
-    facade, so instrumentation and caches never cross shard boundaries.
-
-    With ``config.slo_fps`` set, each shard additionally carries its own
-    :class:`~repro.obs.qos.QoSLedger` over ``catalog`` (required then):
-    qos metrics stay shard-private like every other mutable piece and
-    merge exactly through the labeled-snapshot machinery.
+    Shard ``i`` is seeded with ``derive_seed(config.seed, "shard", i)``.
+    Shards restore at the coordinator's chunk barriers, so none gets a
+    restore interval of its own.
     """
-    from repro.core.predictor import InterferencePredictor
-    from repro.placement import BreakerConfig, PredictionCache, build_policy
-    from repro.serving.admission import AdmissionController
-    from repro.serving.faults import FaultConfig, FaultInjector
-
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     if tracers is not None and len(tracers) != n_shards:
         raise ValueError(f"need {n_shards} tracers, got {len(tracers)}")
     config = config if config is not None else ShardConfig()
-    if config.slo_fps is not None and catalog is None:
-        raise ValueError("slo_fps accounting needs a game catalog")
-    brokers = []
-    for shard_id in range(n_shards):
-        telemetry = Telemetry()
-        facade = InterferencePredictor(
-            predictor.db,
-            classifier=predictor.classifier,
-            regressor=predictor.regressor,
-        )
-        fault_config = FaultConfig(
-            error_rate=config.fault_rate,
+    return [
+        build_broker(
+            predictor,
+            config,
             seed=derive_seed(config.seed, "shard", shard_id),
-        )
-        injector = (
-            FaultInjector(fault_config, telemetry=telemetry)
-            if fault_config.active
-            else None
-        )
-        policy, fallback = build_policy(
-            config.policy,
-            predictor=facade,
-            qos=config.qos,
-            cache=PredictionCache(config.cache_size),
-            max_colocation=config.max_colocation,
-            injector=injector,
-        )
-        controller = AdmissionController(
-            policy,
-            fallback=fallback,
-            telemetry=telemetry,
-            breaker=BreakerConfig(failure_threshold=config.breaker_threshold),
-            decision_deadline_s=config.decision_deadline_s,
             tracer=tracers[shard_id] if tracers is not None else None,
-            downscale_ladder=config.degrade_ladder,
+            catalog=catalog,
         )
-        ledger = None
-        if config.slo_fps is not None:
-            from repro.obs.qos import QoSLedger
-
-            ledger = QoSLedger(
-                catalog,
-                facade,
-                slo_fps=config.slo_fps,
-                budget_fraction=config.qos_budget,
-            )
-        brokers.append(
-            RequestBroker(
-                controller,
-                crash_rate=config.crash_rate,
-                crash_seed=derive_seed(config.seed, "shard", shard_id),
-                keep_records=config.keep_records,
-                ledger=ledger,
-            )
-        )
-    return brokers
+        for shard_id in range(n_shards)
+    ]
 
 
 @dataclass
@@ -273,13 +298,8 @@ class ShardedBroker:
 
     ``brokers`` own all mutable serving state; the coordinator owns only
     the router, its own telemetry, and the drain loop.  Each chunk's shard
-    batches drain one after another on the calling thread;
-    ``parallel=True`` drains them on a worker pool instead.  Results are
-    identical either way because workers share nothing.  The pool is off
-    by default: a shard drain is pure Python, so under the GIL the pool
-    cannot overlap the shards.  It interleaves them, pays a thread
-    wake-up per batch and a GIL hand-off every switch interval, and each
-    hand-off stalls one decision for that interval.
+    batches drain one after another on the calling thread: a drain is
+    pure Python, so under the GIL threads could not overlap shards.
     """
 
     def __init__(
@@ -291,7 +311,6 @@ class ShardedBroker:
         supervisor: ShardSupervisor | None = None,
         telemetry: Telemetry | None = None,
         tracer: Tracer | None = None,
-        parallel: bool = False,
         chunk_size: int | None = None,
     ):
         if not brokers:
@@ -327,18 +346,12 @@ class ShardedBroker:
         self._restoring = any(
             getattr(b.controller, "can_restore", False) for b in self.brokers
         )
-        self.parallel = bool(parallel)
         if chunk_size is None:
             interval = rebalancer.config.interval if rebalancer is not None else 0
             chunk_size = interval if interval > 0 else DEFAULT_CHUNK
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = int(chunk_size)
-
-    def _drain(self, shard_id: int, batch: list[tuple[int, Session]]) -> None:
-        broker = self.brokers[shard_id]
-        for index, session in batch:
-            broker.submit(session, index)
 
     def run(
         self, sessions: Iterable[Session], *, presorted: bool = False
@@ -357,107 +370,70 @@ class ShardedBroker:
         )
         for broker in self.brokers:
             broker.start()
-        n_shards = len(self.brokers)
-        pool = (
-            ThreadPoolExecutor(
-                max_workers=n_shards, thread_name_prefix="shard"
-            )
-            if self.parallel and n_shards > 1
-            else None
-        )
         deadline = (
             self.supervisor.config.drain_deadline_s if self._supervising else None
         )
         index = 0
-        try:
-            while True:
-                chunk = list(islice(stream, self.chunk_size))
-                if not chunk:
-                    break
-                # Supervision barrier first: outages fire and failover
-                # completes *before* routing, so every arrival in this
-                # chunk is routed against a ring of healthy shards and no
-                # session can land on a shard that dies mid-chunk.
+        while True:
+            chunk = list(islice(stream, self.chunk_size))
+            if not chunk:
+                break
+            # Supervision barrier first: outages fire and failover
+            # completes *before* routing, so every arrival in this chunk
+            # is routed against a ring of healthy shards and no session
+            # can land on a shard that dies mid-chunk.
+            if self._supervising:
+                self.supervisor.tick(
+                    self.brokers,
+                    self.router,
+                    now=chunk[0].arrival,
+                    index=index,
+                )
+            batches: list[list[tuple[int, Session]]] = [[] for _ in self.brokers]
+            with self.telemetry.time("route_batch_s"):
                 if self._supervising:
-                    self.supervisor.tick(
-                        self.brokers,
-                        self.router,
-                        now=chunk[0].arrival,
-                        index=index,
-                    )
-                batches: list[list[tuple[int, Session]]] = [
-                    [] for _ in range(n_shards)
-                ]
-                with self.telemetry.time("route_batch_s"):
-                    if self._supervising:
-                        for session in chunk:
-                            shard = self.supervisor.route(
-                                session, index, self.router, self.brokers
-                            )
-                            batches[shard].append((index, session))
-                            index += 1
-                    else:
-                        for session in chunk:
-                            batches[self.router.route(session, index)].append(
-                                (index, session)
-                            )
-                            index += 1
-                self.telemetry.counter("routed").inc(len(chunk))
-                if pool is not None:
-                    futures = [
-                        pool.submit(self._drain, shard_id, batch)
-                        for shard_id, batch in enumerate(batches)
-                        if batch
-                    ]
-                    for future in futures:
-                        if deadline is None:
-                            future.result()
-                            continue
-                        try:
-                            future.result(timeout=deadline)
-                        except DrainTimeout:
-                            # Tripwire only: count the overrun, then wait
-                            # it out — abandoning a drain mid-chunk would
-                            # lose sessions, the one thing we must not do.
-                            self.telemetry.counter(
-                                "drain_deadline_exceeded"
-                            ).inc()
-                            future.result()
-                else:
-                    # Nothing can interrupt the calling thread, so the
-                    # tripwire times each drain after the fact.
-                    for shard_id, batch in enumerate(batches):
-                        if not batch:
-                            continue
-                        started = perf_counter()
-                        self._drain(shard_id, batch)
-                        elapsed = perf_counter() - started
-                        if deadline is not None and elapsed > deadline:
-                            self.telemetry.counter("drain_deadline_exceeded").inc()
-                # Chunk boundary: every worker is quiescent, so shard
-                # occupancies are stable and migration is deterministic.
-                if self.rebalancer is not None:
-                    self.rebalancer.rebalance(
-                        self.brokers,
-                        now=chunk[-1].arrival,
-                        index=index - 1,
-                        healthy=(
-                            self.router.shard_ids if self._supervising else None
-                        ),
-                    )
-                # Restore after any migration settled: each shard
-                # re-promotes downscale-degraded sessions its freed (or
-                # rebalanced) capacity now supports.  Sessions migrated
-                # while degraded keep their state (the whole Session
-                # object travels), so the destination shard promotes them.
-                if self._restoring:
-                    for broker in self.brokers:
-                        broker.restore_degraded(
-                            now=chunk[-1].arrival, index=index - 1
+                    for session in chunk:
+                        shard = self.supervisor.route(
+                            session, index, self.router, self.brokers
                         )
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+                        batches[shard].append((index, session))
+                        index += 1
+                else:
+                    for session in chunk:
+                        batches[self.router.route(session, index)].append(
+                            (index, session)
+                        )
+                        index += 1
+            self.telemetry.counter("routed").inc(len(chunk))
+            # Nothing can interrupt the calling thread, so the tripwire
+            # times each drain after the fact; abandoning a drain
+            # mid-chunk would lose sessions, the one thing we must not do.
+            for broker, batch in zip(self.brokers, batches):
+                if not batch:
+                    continue
+                started = perf_counter()
+                for arrival_index, session in batch:
+                    broker.submit(session, arrival_index)
+                elapsed = perf_counter() - started
+                if deadline is not None and elapsed > deadline:
+                    self.telemetry.counter("drain_deadline_exceeded").inc()
+            # Chunk boundary: every shard is quiescent, so shard
+            # occupancies are stable and migration is deterministic.
+            if self.rebalancer is not None:
+                self.rebalancer.rebalance(
+                    self.brokers,
+                    now=chunk[-1].arrival,
+                    index=index - 1,
+                    healthy=self.router.shard_ids if self._supervising else None,
+                )
+            # Restore after any migration settled: each shard re-promotes
+            # downscale-degraded sessions its freed (or rebalanced)
+            # capacity now supports.  Sessions migrated while degraded
+            # keep their state (the whole Session object travels), so the
+            # destination shard promotes them.
+            if self._restoring:
+                for broker in self.brokers:
+                    broker.restore_degraded(now=chunk[-1].arrival, index=index - 1)
         reports = [broker.finish() for broker in self.brokers]
         if self._supervising:
             # The conservation invariant, as a metric: every routed

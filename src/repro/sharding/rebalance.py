@@ -88,7 +88,7 @@ class Rebalancer:
         ids (the supervisor passes the current ring members so sessions
         are never rebalanced *onto* an ejected shard); ``None`` means
         all shards, which is bit-for-bit the pre-supervision behaviour.
-        Must be called while no shard worker is draining — the sharded
+        Must be called while no shard is draining — the sharded
         broker guarantees this by rebalancing only between chunks.
         """
         self.telemetry.counter("rebalance_cycles").inc()

@@ -2,7 +2,7 @@
 
 The sharded tier's survival layer.  :class:`ShardSupervisor` runs at
 every chunk barrier of the :class:`~repro.sharding.ShardedBroker` drain
-— the only points where all shard workers are quiescent — and closes the
+— the only points where all shards are quiescent — and closes the
 loop between the chaos layer's ground truth
 (:class:`~repro.sharding.chaos.ShardChaos`) and the routing ring:
 
@@ -73,9 +73,9 @@ class SupervisorConfig:
     attempt and is only slept when the base is nonzero — tests keep it
     at 0 so chaos suites stay fast); ``cooldown_chunks`` and
     ``probe_window`` parameterize the recovery breaker; and
-    ``drain_deadline_s`` is an optional wall-clock guard on each chunk
-    drain (overruns are counted, never acted on — a tripwire for stuck
-    workers, not a determinism hazard).
+    ``drain_deadline_s`` is an optional wall-clock guard on each shard's
+    chunk drain (overruns are counted after the fact, never acted on — a
+    tripwire for slow shards, not a determinism hazard).
     """
 
     min_healthy: int = 1

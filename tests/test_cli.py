@@ -251,6 +251,81 @@ class TestServeResilience:
         assert payload["config"]["crash_rate"] == 0.05
         assert payload["config"]["breaker_threshold"] == 0.3
 
+    def test_chaos_seeding_matches_hand_built_stack(self, predictor_path, capsys):
+        """Unsharded chaos draws from ``--trace-seed``: faults and crashes."""
+        from repro.core import InterferencePredictor
+        from repro.obs import Telemetry
+        from repro.placement import (
+            BreakerConfig,
+            DecisionEngine,
+            PredictionCache,
+            build_policy,
+        )
+        from repro.serving import (
+            FaultConfig,
+            FaultInjector,
+            RequestBroker,
+            TraceConfig,
+            generate_trace,
+        )
+
+        rc = main(
+            [
+                "serve",
+                "--predictor",
+                predictor_path,
+                "--requests",
+                "200",
+                "--arrival-rate",
+                "4.0",
+                "--fault-rate",
+                "0.35",
+                "--crash-rate",
+                "0.05",
+                "--trace-seed",
+                "13",
+            ]
+        )
+        assert rc == 0
+        served = json.loads(capsys.readouterr().out)
+
+        predictor = InterferencePredictor.load(predictor_path)
+        telemetry = Telemetry()
+        policy, fallback = build_policy(
+            "cm-feasible",
+            predictor=predictor,
+            qos=60.0,
+            cache=PredictionCache(4096),
+            max_colocation=4,
+            injector=FaultInjector(
+                FaultConfig(error_rate=0.35, seed=13), telemetry=telemetry
+            ),
+        )
+        engine = DecisionEngine(
+            policy,
+            fallback=fallback,
+            telemetry=telemetry,
+            breaker=BreakerConfig(failure_threshold=0.5),
+        )
+        sessions = generate_trace(
+            predictor.db.names(),
+            TraceConfig(n_requests=200, arrival_rate=4.0, seed=13),
+        )
+        reference = json.loads(
+            json.dumps(
+                RequestBroker(engine, crash_rate=0.05, crash_seed=13)
+                .run(sessions)
+                .to_dict()
+            )
+        )
+
+        counters = served["telemetry"]["counters"]
+        assert counters["faults_injected"] > 0
+        assert counters["server_crashes"] > 0
+        assert served["placements"] == reference["placements"]
+        assert served["readmissions"] == reference["readmissions"]
+        assert counters == reference["telemetry"]["counters"]
+
     def test_zero_fault_flags_match_plain_serve(self, predictor_path, capsys):
         base = [
             "serve",

@@ -24,6 +24,7 @@ from repro.serving import (
     TraceConfig,
     generate_trace,
 )
+from repro.sharding.broker import DEFAULT_CHUNK
 
 LADDER = DegradeLadder.from_str("1080p,900p,720p")
 
@@ -265,6 +266,46 @@ class TestServeCliDegrade:
         rc, _ = self.serve(predictor_path, tmp_path, "--restore-interval", "10")
         assert rc == 2
         assert "requires --degrade-ladder" in capsys.readouterr().err
+
+    def test_restore_interval_rejected_under_shards(
+        self, predictor_path, tmp_path, capsys
+    ):
+        # Shards restore at chunk barriers only, so the flag would be
+        # silently ignored.
+        rc, out = self.serve(
+            predictor_path,
+            tmp_path,
+            "--shards",
+            "2",
+            "--degrade-ladder",
+            "1080p,900p,720p",
+            "--restore-interval",
+            "5",
+        )
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--restore-interval is unsharded-only" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "extra, barrier",
+        [((), DEFAULT_CHUNK), (("--rebalance-interval", "40"), 40)],
+    )
+    def test_sharded_config_reports_barrier_interval(
+        self, predictor_path, tmp_path, extra, barrier
+    ):
+        rc, out = self.serve(
+            predictor_path,
+            tmp_path,
+            "--shards",
+            "2",
+            "--degrade-ladder",
+            "1080p,900p,720p",
+            *extra,
+        )
+        assert rc == 0
+        assert json.loads(out.read_text())["config"]["restore_interval"] == barrier
 
     def test_bad_restore_interval_rejected(self, predictor_path, tmp_path, capsys):
         rc, _ = self.serve(

@@ -8,7 +8,7 @@ Three pillars, matching the guarantees the sharding package documents:
   :class:`~repro.serving.RequestBroker` stack.
 * **Determinism** — a multi-shard run with rebalancing enabled is a pure
   function of the seed: same trace, same migrations, same merged
-  telemetry, whether shards drain in parallel or serially.
+  telemetry.
 * **Rebalancing** — the occupancy loop moves sessions hot → cold within
   its caps, books them as migrations (never crashes), and leaves
   balanced fleets alone.
@@ -24,7 +24,7 @@ from repro.obs.snapshots import validate_prometheus
 from repro.placement.fleet import Session
 from repro.placement.policies import DedicatedPolicy
 from repro.scheduling import generate_sessions
-from repro.serving.admission import AdmissionController
+from repro.serving import AdmissionController
 from repro.serving.broker import RequestBroker
 from repro.sharding import (
     RebalanceConfig,
@@ -127,7 +127,7 @@ class TestShardsOneParity:
             assert all(e["labels"]["shard"] == "0" for e in entries)
 
 
-def _run_sharded(predictor, trace, *, parallel=True):
+def _run_sharded(predictor, trace):
     coordinator = Telemetry()
     rebalancer = Rebalancer(
         RebalanceConfig(interval=64, hot_factor=1.2, max_moves=2),
@@ -137,7 +137,6 @@ def _run_sharded(predictor, trace, *, parallel=True):
         build_shard_brokers(predictor, 4, ShardConfig(seed=7)),
         rebalancer=rebalancer,
         telemetry=coordinator,
-        parallel=parallel,
     )
     return broker.run(trace)
 
@@ -167,15 +166,6 @@ class TestShardedRun:
         assert report.migrations > 0
         assert "server_crashes" not in report.telemetry["counters"]
         assert report.coordinator["counters"]["rebalance_cycles"] > 0
-
-    def test_parallel_matches_serial(self, predictor, trace):
-        parallel = _run_sharded(predictor, trace, parallel=True)
-        serial = _run_sharded(predictor, trace, parallel=False)
-        assert _strip_wall_clock(parallel.telemetry) == _strip_wall_clock(
-            serial.telemetry
-        )
-        for rp, rs in zip(parallel.shard_reports, serial.shard_reports):
-            assert rp.choices() == rs.choices()
 
     def test_merged_counters_are_shard_sums(self, predictor, trace):
         report = _run_sharded(predictor, trace)
@@ -334,11 +324,6 @@ class TestShardedBrokerWiring:
         assert ShardedBroker(brokers, rebalancer=rebalancer).chunk_size == 64
         explicit = ShardedBroker(brokers, rebalancer=rebalancer, chunk_size=7)
         assert explicit.chunk_size == 7
-
-    def test_drains_serially_by_default(self):
-        brokers = [_dedicated_broker(), _dedicated_broker()]
-        assert ShardedBroker(brokers).parallel is False
-        assert ShardedBroker(brokers, parallel=True).parallel is True
 
     def test_presorted_stream_matches_sorted_run(self):
         games = ["a", "b", "c", "d", "e", "f"]

@@ -81,7 +81,6 @@ def _run(
         brokers,
         supervisor=supervisor,
         rebalancer=rebalancer,
-        parallel=False,
         chunk_size=chunk_size,
     )
     return broker.run(trace)
@@ -262,7 +261,7 @@ class TestPassThrough:
             ShardChaos(ShardChaosConfig(outage_rate=0.5), 3)
         )
         with pytest.raises(ValueError, match="covers 3 shards"):
-            ShardedBroker(brokers, supervisor=supervisor, parallel=False)
+            ShardedBroker(brokers, supervisor=supervisor)
 
 
 class TestKillEachShardInTurn:
@@ -445,8 +444,7 @@ class TestSupervisionReport:
             brokers,
             supervisor=supervisor,
             tracer=tracer,
-            parallel=False,
-            chunk_size=32,
+                chunk_size=32,
         )
         broker.run(trace)
         names = {span.name for span in tracer.spans}
