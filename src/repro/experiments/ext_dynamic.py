@@ -12,13 +12,8 @@ from __future__ import annotations
 from repro.experiments.fig09_feasibility import select_games
 from repro.experiments.lab import Lab
 from repro.experiments.tables import format_table
-from repro.placement import (
-    CMFeasiblePolicy,
-    DedicatedPolicy,
-    VBPFirstFitPolicy,
-    simulate_sessions,
-)
-from repro.scheduling.dynamic import generate_sessions
+from repro.placement import CMFeasiblePolicy, DedicatedPolicy, VBPFirstFitPolicy
+from repro.scheduling.dynamic import generate_sessions, simulate_sessions
 
 __all__ = ["run", "render"]
 
@@ -34,7 +29,7 @@ def run(lab: Lab, *, n_sessions: int = 800, qos: float = 60.0) -> dict:
         seed=lab.config.seed,
     )
     # Policy objects from the shared placement core, passed straight to
-    # the simulator (which dispatches them through its DecisionEngine).
+    # the driver (which dispatches them through a strict DecisionEngine).
     policies = {
         "GAugur(CM)": CMFeasiblePolicy(lab.predictor, qos),
         "GAugur(CM) +10% margin": CMFeasiblePolicy(lab.predictor, qos, margin=1.1),

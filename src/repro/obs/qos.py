@@ -12,11 +12,10 @@ that loop:
   observer hooks,
 * recomputes **ground-truth FPS** for every session in each affected
   colocation group with the simulator's interference model
-  (:func:`repro.simulator.measurement.run_colocation` — the same oracle
-  the offline simulator scores against), and
+  (:func:`repro.simulator.measurement.run_colocation`), and
 * fixes each session's **promise** at admission time: the FPS the
   predictor's regression model claimed the session would get in its
-  post-placement group.
+  post-placement group (none with ``predictor=None``).
 
 When a session's record closes (departure, eviction, or end-of-run
 finalization) the ledger books exactly one calibration sample — the
@@ -116,18 +115,19 @@ class QoSLedger:
     """Ground-truth FPS accounting over live fleet mutations.
 
     Attach one ledger per fleet: pass it as ``FleetState(observer=...)``
-    (the broker and the offline driver both wire this when given a
-    ledger) and drive its clock with :meth:`advance` before each batch
-    of mutations.  The ledger never mutates the fleet; it mirrors
-    membership from the observer callbacks.
+    (the broker wires this when given a ledger) and drive its clock with
+    :meth:`advance` before each batch of mutations.  The ledger never
+    mutates the fleet; it mirrors membership from the observer
+    callbacks.
 
     ``slo_fps`` is the per-session FPS target; ``budget_fraction`` the
     tolerated fraction of a session's lifetime below it (the SLO error
     budget — 0.05 means 5% of the session may run degraded before the
-    budget burns).  Ground truth uses ``server``/``config`` exactly as
-    :func:`repro.placement.offline.simulate_sessions` does, so a ledger
-    riding the offline simulator reproduces its violation-minutes
-    accounting.
+    budget burns).  Ground truth uses ``server``/``config``.  The
+    ``predictor`` only sets the promises calibration is booked against:
+    with ``None`` (VBP and dedicated runs have no predictor) the ledger
+    books no ``fps_residual_*`` samples and its SLO accounting is
+    unchanged.
     """
 
     def __init__(
@@ -440,6 +440,8 @@ class QoSLedger:
 
     def _promise_for(self, members: dict, record: _OpenRecord) -> float:
         """The predictor's FPS claim for ``record`` in its current group."""
+        if self.predictor is None:
+            return 0.0
         sig, ordered = self._group_signature(members.values())
         promised = self._promised.get(sig)
         if promised is None:
@@ -466,10 +468,11 @@ class QoSLedger:
             "fps_residual_overpredict" if residual >= 0 else "fps_residual_underpredict"
         )
         for labels in ({}, {"game": game}, {"genre": genre}):
-            t.histogram("fps_residual_abs", FPS_RESIDUAL_BUCKETS, **labels).observe(
-                abs(residual)
-            )
-            t.histogram(name, FPS_RESIDUAL_BUCKETS, **labels).observe(abs(residual))
+            if self.predictor is not None:
+                t.histogram("fps_residual_abs", FPS_RESIDUAL_BUCKETS, **labels).observe(
+                    abs(residual)
+                )
+                t.histogram(name, FPS_RESIDUAL_BUCKETS, **labels).observe(abs(residual))
             t.histogram(
                 "qos_session_minutes", QOS_MINUTES_BUCKETS, **labels
             ).observe(minutes)

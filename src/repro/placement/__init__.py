@@ -1,4 +1,4 @@
-"""The placement core shared by the offline simulator and the online broker.
+"""The placement core shared by the offline driver and the online broker.
 
 This package is the single implementation of "where does this session
 go": canonical signatures and cache keys (:mod:`.signature`), the fleet
@@ -9,13 +9,14 @@ pipeline — breaker-guarded policy steps, the resolution-downscale
 quality actuator, deadline budgets, degraded modes, tracing spans and
 telemetry — and applies decisions to the fleet.
 
-Two thin frontends drive it: the batch-clocked offline simulator
-(:mod:`.offline`, re-exported as
-:func:`repro.scheduling.dynamic.simulate_sessions`) and the event-loop
-online broker (:class:`repro.serving.RequestBroker`).  Layering is
-strict: ``repro.obs`` (tracing + metrics) sits below this package, and
-this package never imports ``repro.serving`` or ``repro.scheduling`` —
-both depend on it, not the other way around.
+One event loop drives it: the online broker
+(:class:`repro.serving.RequestBroker`), which the offline driver
+(:func:`repro.scheduling.dynamic.simulate_sessions`) runs in strict mode
+under a QoS ledger.  Layering is strict: ``repro.obs`` (tracing +
+metrics) sits below this package; above it sit ``repro.serving``, then
+``repro.scheduling.dynamic`` and ``repro.sharding``.  This package never
+imports any of the three, and ``repro.serving`` never imports
+``repro.scheduling`` (``tests/test_layering.py`` checks both).
 """
 
 from repro.placement.assignment import (
@@ -42,7 +43,6 @@ from repro.placement.fleet import (
     degraded_to,
     promoted_to,
 )
-from repro.placement.offline import DynamicMetrics, simulate_sessions
 from repro.placement.policies import (
     POLICY_NAMES,
     AdmissionPolicy,
@@ -74,7 +74,6 @@ __all__ = [
     "CMFeasiblePolicy",
     "DecisionEngine",
     "DedicatedPolicy",
-    "DynamicMetrics",
     "FleetState",
     "MaxFPSPolicy",
     "Mode",
@@ -100,5 +99,4 @@ __all__ = [
     "signature_add",
     "signature_groups",
     "signature_of",
-    "simulate_sessions",
 ]

@@ -1,13 +1,13 @@
 """The decision engine: an actuator pipeline between policies and the fleet.
 
-Both frontends — the offline batch-clocked simulator
-(:func:`repro.scheduling.dynamic.simulate_sessions`) and the online
-event-loop broker (:class:`repro.serving.RequestBroker`) — answer every
-arrival through :class:`DecisionEngine`.  Since the actuator refactor the
-engine no longer hardwires a ``primary → fallback → dedicated`` chain:
-it walks an ordered pipeline of **actuators**, where each step is one
-lever the admission path can pull when the previous step could not place
-the session.  Three kinds of lever exist, in escalation order:
+The online event-loop broker (:class:`repro.serving.RequestBroker`)
+answers every arrival through :class:`DecisionEngine`, and so does the
+offline driver (:func:`repro.scheduling.dynamic.simulate_sessions`),
+which replays its trace through that broker.  Since the actuator
+refactor the engine no longer hardwires a ``primary → fallback →
+dedicated`` chain: it walks an ordered pipeline of **actuators**, where
+each step is one lever the admission path can pull when the previous
+step could not place the session.  Three kinds of lever exist, in escalation order:
 
 1. **degrade placement** — consult the next (more conservative) policy
    in the chain.  Each :class:`PolicyActuator` wraps one

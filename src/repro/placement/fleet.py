@@ -1,12 +1,13 @@
-"""Fleet state: the server-pool bookkeeping both frontends share.
+"""Fleet state: the server-pool bookkeeping of the placement core.
 
 Before this core existed, the offline simulator
 (:func:`repro.scheduling.dynamic.simulate_sessions`) and the online
 broker (:class:`repro.serving.RequestBroker`) each carried their own
 copy of the same bookkeeping — a dict of server compositions, a
 departure heap, peak tracking — proven equivalent only by parity tests.
-:class:`FleetState` is the single implementation: servers are stable
-integer ids hosting lists of live sessions, members are kept in
+Now the broker is the only driver (the offline simulator replays
+through it) and :class:`FleetState` is the single implementation:
+servers are stable integer ids hosting lists of live sessions, members are kept in
 departure order (earliest-ending first), and every admitted session gets
 a monotonically increasing *member id* so crash evictions can be
 re-ordered deterministically regardless of any container iteration
@@ -43,7 +44,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_left, insort
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.games.resolution import Resolution
@@ -392,15 +392,10 @@ class FleetState:
             self.observer.fleet_placed(server_id, member[0], session)
         return server_id
 
-    def pop_departures(
-        self, until: float, *, before_each: Callable[[float], None] | None = None
-    ) -> int:
+    def pop_departures(self, until: float) -> int:
         """Retire every session departing at or before ``until``.
 
-        Servers that empty leave the pool.  ``before_each`` (if given) is
-        called with the departure time just before each member is
-        removed — the offline frontend uses it to accrue server-time and
-        QoS-violation time up to that instant.  Departure entries whose
+        Servers that empty leave the pool.  Departure entries whose
         server already vanished (crashed) are skipped silently: a
         crashed server's sessions were re-admitted under new entries.
         Returns the number of sessions actually retired.
@@ -411,8 +406,6 @@ class FleetState:
             members = self._servers.get(server_id)
             if members is None:
                 continue
-            if before_each is not None:
-                before_each(t)
             member_id, session = members.pop(0)
             sig = self._signatures[server_id]
             self._unfile(server_id)

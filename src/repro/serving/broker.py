@@ -7,21 +7,21 @@ dispatcher plays, with GAugur's predictions on the hot path (paper
 Section 5, Algorithm 1's online setting).
 
 The pool bookkeeping is the shared
-:class:`repro.placement.FleetState` — the *same* implementation the
-offline simulator (:func:`repro.scheduling.dynamic.simulate_sessions`)
-advances, and every placement goes through
-:meth:`repro.placement.DecisionEngine.admit` — so a deterministic policy
-produces byte-identical placements here and there by construction; the
-parity tests pin this down.  What the broker adds is the serving-side
-machinery the offline simulator has no use for: telemetry, caches,
-fallback accounting, a JSON-able report instead of ground-truth QoS
-accounting — and failure realism.  With a nonzero ``crash_rate``,
+:class:`repro.placement.FleetState`, and every placement goes through
+:meth:`repro.placement.DecisionEngine.admit`.  The broker is also the
+offline driver's event loop: :func:`repro.scheduling.dynamic.simulate_sessions`
+is a strict-engine broker run scored by a
+:class:`~repro.obs.qos.QoSLedger`, so a deterministic policy produces
+identical placements offline and online by construction; the parity
+tests pin this down.  Around the loop sit telemetry, caches, fallback
+accounting, an optional ground-truth QoS ledger, a JSON-able report —
+and failure realism.  With a nonzero ``crash_rate``,
 servers crash at (seeded, deterministic) random before arrivals: a
 crashed server leaves the pool and its live sessions re-enter the
 admission queue for immediate re-placement, counted as
 ``server_crashes`` / ``sessions_evicted`` / ``readmissions``.  With
 ``crash_rate`` zero the crash RNG is never consulted, preserving
-placement parity with the offline simulator.
+placement parity with the offline driver.
 
 The broker runs in two modes.  :meth:`run` is the one-shot replay loop
 every existing caller uses.  Underneath it sits an incremental API —
@@ -448,9 +448,7 @@ class RequestBroker:
     def run(self, sessions: Sequence[Session]) -> ServingReport:
         """Replay ``sessions`` (sorted by arrival) through the controller.
 
-        Departures are applied before each arrival's decision, exactly as
-        in :func:`repro.scheduling.dynamic.simulate_sessions` (both drive
-        the same :class:`~repro.placement.fleet.FleetState`); emptied
+        Departures are applied before each arrival's decision; emptied
         servers leave the pool.  Crash events (if enabled) fire after the
         departures and before the arrival's own decision, and every
         evicted live session is re-admitted immediately, in admission

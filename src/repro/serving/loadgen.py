@@ -1,9 +1,11 @@
 """Trace-driven load generation for the serving loop.
 
-Wraps :func:`repro.scheduling.dynamic.generate_sessions` behind a single
-validated, serializable configuration object so a serving run is fully
-described by ``(trace config, policy config, predictor bundle)`` — the
-reproducibility contract the CLI's ``serve`` subcommand exposes.
+:func:`generate_sessions` draws a seeded Poisson arrival trace;
+:func:`generate_trace` wraps it behind a single validated, serializable
+configuration object so a serving run is fully described by ``(trace
+config, policy config, predictor bundle)`` — the reproducibility
+contract the CLI's ``serve`` subcommand exposes.  The offline driver
+(:mod:`repro.scheduling.dynamic`) re-exports :func:`generate_sessions`.
 """
 
 from __future__ import annotations
@@ -11,11 +13,47 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.games.resolution import PRESET_RESOLUTIONS, Resolution
+from repro.games.resolution import (
+    PRESET_RESOLUTIONS,
+    REFERENCE_RESOLUTION,
+    Resolution,
+)
 from repro.placement.fleet import Session
-from repro.scheduling.dynamic import generate_sessions
+from repro.utils.rng import spawn_rng
 
-__all__ = ["TraceConfig", "generate_trace"]
+__all__ = ["TraceConfig", "generate_sessions", "generate_trace"]
+
+
+def generate_sessions(
+    names: Sequence[str],
+    n_sessions: int,
+    *,
+    arrival_rate: float = 2.0,
+    mean_duration: float = 30.0,
+    resolutions: Sequence[Resolution] | None = None,
+    seed: int = 0,
+) -> list[Session]:
+    """Poisson arrivals (rate per minute) with exponential durations (minutes)."""
+    if n_sessions < 1:
+        raise ValueError("n_sessions must be >= 1")
+    if arrival_rate <= 0 or mean_duration <= 0:
+        raise ValueError("arrival_rate and mean_duration must be positive")
+    names = list(names)
+    pool = list(resolutions) if resolutions else [REFERENCE_RESOLUTION]
+    rng = spawn_rng(seed, "sessions")
+    t = 0.0
+    sessions = []
+    for _ in range(n_sessions):
+        t += float(rng.exponential(1.0 / arrival_rate))
+        sessions.append(
+            Session(
+                game=names[int(rng.integers(len(names)))],
+                resolution=pool[int(rng.integers(len(pool)))],
+                arrival=t,
+                duration=float(rng.exponential(mean_duration)),
+            )
+        )
+    return sessions
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,12 @@ from repro.placement import (
     entry_of,
     signature_add,
     signature_of,
+)
+from repro.scheduling.dynamic import (
+    cm_feasible_policy,
+    generate_sessions,
     simulate_sessions,
 )
-from repro.scheduling.dynamic import cm_feasible_policy, generate_sessions
 from repro.serving import (
     AdmissionController,
     BreakerConfig,
@@ -86,10 +89,8 @@ class TestFleetState:
         fleet.place(None, _session("a", duration=5.0))
         fleet.place(0, _session("b", duration=15.0))
         fleet.place(None, _session("c", duration=8.0))
-        seen = []
-        removed = fleet.pop_departures(10.0, before_each=seen.append)
+        removed = fleet.pop_departures(10.0)
         assert removed == 2
-        assert seen == [5.0, 8.0]
         assert fleet.server_ids() == [0]
         assert fleet.members(0)[0].game == "b"
         assert fleet.pop_departures(20.0) == 1

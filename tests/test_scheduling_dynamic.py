@@ -1,10 +1,22 @@
 """Tests for dynamic session scheduling."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
+from repro.core.training import ColocationSpec
+from repro.experiments import ext_dynamic
 from repro.games.resolution import Resolution
+from repro.obs import QoSLedger
+from repro.placement import (
+    CMFeasiblePolicy,
+    DedicatedPolicy,
+    VBPFirstFitPolicy,
+    signature_of,
+)
 from repro.scheduling.dynamic import (
+    DynamicMetrics,
     Session,
     cm_feasible_policy,
     dedicated_policy,
@@ -12,6 +24,8 @@ from repro.scheduling.dynamic import (
     simulate_sessions,
     vbp_policy,
 )
+from repro.serving import AdmissionController, RequestBroker
+from repro.simulator.measurement import run_colocation
 
 R1080 = Resolution(1920, 1080)
 
@@ -138,3 +152,107 @@ class TestSimulateSessions:
         # Up to `size` games can violate simultaneously on one server, but
         # total violation time can never exceed total session time.
         assert metrics.violation_minutes <= metrics.session_minutes + 1e-6
+
+
+def _reference_metrics(catalog, sessions, report, *, qos, server):
+    """Server- and violation-minutes integrated straight from a placement log.
+
+    Independent of the ledger: each server's membership timeline is
+    rebuilt from the log, every composition is measured with
+    ``run_colocation``, and ``dt × #(fps < qos)`` / ``dt × open`` are
+    summed over the timeline's elementary intervals.
+    """
+    ordered = sorted(sessions, key=lambda s: s.arrival)
+    hosted = defaultdict(list)
+    for record in report.placements:
+        hosted[record.server_id].append(ordered[record.index])
+    measured = {}
+    server_minutes = violation_minutes = 0.0
+    for members in hosted.values():
+        times = sorted({t for s in members for t in (s.arrival, s.departure)})
+        for start, end in zip(times, times[1:]):
+            mid = 0.5 * (start + end)
+            live = [s for s in members if s.arrival <= mid < s.departure]
+            if not live:
+                continue
+            sig = signature_of(live)
+            if sig not in measured:
+                measured[sig] = run_colocation(
+                    ColocationSpec(sig).instances(catalog), server=server
+                ).fps
+            server_minutes += end - start
+            violation_minutes += (end - start) * sum(
+                1 for f in measured[sig] if f < qos
+            )
+    return server_minutes, violation_minutes
+
+
+class TestDriverAgainstReference:
+    QOS = 60.0
+
+    @pytest.fixture(scope="class")
+    def trace(self, minilab):
+        return generate_sessions(minilab.names, 120, arrival_rate=4.0, seed=11)
+
+    @pytest.mark.parametrize("kind", ["cm-feasible", "vbp", "dedicated"])
+    def test_metrics_match_timeline_integral(self, minilab, trace, kind):
+        policy = {
+            "cm-feasible": lambda: CMFeasiblePolicy(minilab.predictor, self.QOS),
+            "vbp": lambda: VBPFirstFitPolicy(minilab.vbp),
+            "dedicated": DedicatedPolicy,
+        }[kind]
+        report = RequestBroker(AdmissionController(policy())).run(trace)
+        server_minutes, violation_minutes = _reference_metrics(
+            minilab.catalog, trace, report, qos=self.QOS, server=minilab.server
+        )
+        metrics = simulate_sessions(
+            minilab.catalog, trace, policy(), qos=self.QOS, server=minilab.server
+        )
+        assert metrics.n_sessions == len(trace)
+        assert metrics.servers_opened == report.servers_opened
+        assert metrics.peak_servers == report.peak_servers
+        assert metrics.server_minutes == pytest.approx(server_minutes, rel=1e-9)
+        assert metrics.violation_minutes == pytest.approx(
+            violation_minutes, rel=1e-9
+        )
+        if kind == "vbp":
+            # QoS-blind packing violates: the comparison is not 0 == 0.
+            assert violation_minutes > 0
+
+    def test_ext_dynamic_end_to_end(self, minilab):
+        result = ext_dynamic.run(minilab, n_sessions=120)
+        metrics = result["metrics"]
+        assert set(metrics) == {
+            "GAugur(CM)", "GAugur(CM) +10% margin", "VBP", "Dedicated"
+        }
+        for m in metrics.values():
+            assert m.n_sessions == 120
+            assert 0.0 <= m.violation_fraction <= 1.0
+        dedicated = metrics["Dedicated"]
+        assert dedicated.utilization_gain == pytest.approx(0.0, abs=1e-9)
+        assert metrics["GAugur(CM)"].server_minutes < dedicated.server_minutes
+        assert "dynamic sessions (120 sessions" in ext_dynamic.render(result)
+
+
+class TestDriverInputs:
+    def test_empty_trace_scores_zero(self, minilab):
+        metrics = simulate_sessions(minilab.catalog, [], dedicated_policy())
+        assert metrics == DynamicMetrics(
+            n_sessions=0,
+            server_minutes=0.0,
+            dedicated_server_minutes=0.0,
+            peak_servers=0,
+            violation_minutes=0.0,
+            session_minutes=0.0,
+            servers_opened=0,
+        )
+        assert metrics.utilization_gain == 0.0
+        assert metrics.violation_fraction == 0.0
+
+    def test_ledger_target_must_match_qos(self, minilab):
+        sessions = generate_sessions(minilab.names[:2], 5, seed=12)
+        ledger = QoSLedger(minilab.catalog, None, slo_fps=30.0)
+        with pytest.raises(ValueError, match="30.0 FPS but qos is 60"):
+            simulate_sessions(
+                minilab.catalog, sessions, dedicated_policy(), qos=60.0, ledger=ledger
+            )

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.games import DegradeLadder
 from repro.games.resolution import Resolution
 from repro.obs import QoSLedger, Tracer, build_qos_section
 from repro.scheduling import generate_sessions
@@ -126,6 +127,36 @@ class TestOfflineCrossCheck:
             metrics.violation_minutes, rel=1e-9
         )
         assert ledger.section()["sessions"]["conservation_errors"] == 0
+
+
+class TestPredictorlessLedger:
+    """``predictor=None`` drops the promise, and only the promise."""
+
+    def _degrade_run(self, minilab, trace, predictor):
+        ledger = QoSLedger(minilab.catalog, predictor, slo_fps=SLO_FPS)
+        controller = AdmissionController(
+            CMFeasiblePolicy(minilab.predictor, 60.0),
+            downscale_ladder=DegradeLadder.from_str("1080p,900p,720p"),
+        )
+        RequestBroker(controller, ledger=ledger, restore_interval=16).run(trace)
+        return ledger
+
+    def test_same_slo_accounting_without_calibration(self, minilab, trace):
+        with_predictor = self._degrade_run(minilab, trace, minilab.predictor)
+        bare = self._degrade_run(minilab, trace, None)
+        full, section = with_predictor.section(), bare.section()
+        assert "degraded" in full, "trace never exercised the downscale path"
+        assert section["slo"] == full["slo"]
+        assert section["degraded"] == full["degraded"]
+        # The sessions section differs only in the predictor's own counter.
+        sessions = dict(section["sessions"])
+        assert sessions.pop("predictions") == 0
+        assert full["sessions"].pop("predictions") > 0
+        assert sessions == full["sessions"]
+        assert full["calibration"]["samples"] == len(trace)
+        assert section["calibration"]["samples"] == 0
+        snapshot = json.dumps(bare.telemetry.snapshot())
+        assert "fps_residual" not in snapshot
 
 
 class TestShardedLedger:
