@@ -28,7 +28,6 @@ from repro.placement.assignment import (
 from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.cache import PredictionCache
 from repro.placement.engine import (
-    Actuator,
     AdmissionDecision,
     DecisionEngine,
     Mode,
@@ -49,7 +48,6 @@ from repro.placement.policies import (
     CMFeasiblePolicy,
     DedicatedPolicy,
     MaxFPSPolicy,
-    OfflinePolicyAdapter,
     VBPFirstFitPolicy,
     WorstFitPolicy,
     build_policy,
@@ -64,7 +62,6 @@ from repro.placement.signature import (
 )
 
 __all__ = [
-    "Actuator",
     "AdmissionDecision",
     "AdmissionPolicy",
     "AssignmentResult",
@@ -77,7 +74,6 @@ __all__ = [
     "FleetState",
     "MaxFPSPolicy",
     "Mode",
-    "OfflinePolicyAdapter",
     "POLICY_NAMES",
     "PlacementOutcome",
     "PolicyActuator",

@@ -7,19 +7,25 @@ which replays its trace through that broker.  Since the actuator
 refactor the engine no longer hardwires a ``primary → fallback →
 dedicated`` chain: it walks an ordered pipeline of **actuators**, where
 each step is one lever the admission path can pull when the previous
-step could not place the session.  Three kinds of lever exist, in escalation order:
+step could not place the session.  Three levers exist, in escalation
+order:
 
 1. **degrade placement** — consult the next (more conservative) policy
-   in the chain.  Each :class:`PolicyActuator` wraps one
+   in the chain (``DecisionEngine.pipeline``).  Each
+   :class:`PolicyActuator` wraps one
    :class:`~repro.placement.policies.AdmissionPolicy` together with its
    own circuit breaker, skip counter, and error counter.
 2. **degrade quality** — transform the *session* instead of the
-   placement: :class:`ResolutionDownscaleActuator` re-queries the
-   deciding policy at a ladder of lower resolutions (the Eq. 2 pixel
-   scaling of GPU intensity and solo FPS) before giving up on
-   colocation.
-3. **add capacity** — the implicit terminal actuator: open a dedicated
+   placement: :class:`ResolutionDownscaleActuator`
+   (``DecisionEngine.downscale``) re-queries the deciding policy at a
+   ladder of lower resolutions (the Eq. 2 pixel scaling of GPU
+   intensity and solo FPS) before giving up on colocation.
+3. **add capacity** — the implicit terminal step: open a dedicated
    server.  It cannot fail, so the pipeline always terminates.
+
+Every policy reaches the fleet through ``AdmissionPolicy.select``, and
+every answer it gives — from a policy step or a downscale re-query — is
+checked by one helper before it is used.
 
 The default construction (a primary policy, an optional fallback, no
 ladder) builds the exact pre-refactor chain, and the decision path is
@@ -76,9 +82,8 @@ import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, runtime_checkable
 
-from repro.games.resolution import DegradeLadder, Resolution
+from repro.games.resolution import DegradeLadder
 from repro.obs.metrics import Telemetry
 from repro.obs.tracing import NOOP_TRACER, Tracer
 from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
@@ -91,7 +96,6 @@ __all__ = [
     "PlacementOutcome",
     "DecisionEngine",
     "Mode",
-    "Actuator",
     "PolicyActuator",
     "ResolutionDownscaleActuator",
 ]
@@ -105,25 +109,6 @@ class Mode(Enum):
     CONSERVATIVE = "conservative"
 
 
-@runtime_checkable
-class Actuator(Protocol):
-    """One step of the admission pipeline.
-
-    ``kind`` declares which lever the step pulls: ``"policy"`` (degrade
-    placement — consult a policy, guarded by a breaker),
-    ``"transform"`` (degrade quality — rewrite the candidate session and
-    re-query), or ``"capacity"`` (add capacity — the implicit terminal
-    open-a-server step).  ``name`` labels spans, counters, and snapshot
-    entries.  The concrete actuators (:class:`PolicyActuator`,
-    :class:`ResolutionDownscaleActuator`) are driven by
-    :meth:`DecisionEngine.decide`, which owns ordering, timing, and the
-    absorb-vs-strict error contract.
-    """
-
-    name: str
-    kind: str
-
-
 class PolicyActuator:
     """A placement policy as a pipeline step, with its breaker and counters.
 
@@ -134,8 +119,6 @@ class PolicyActuator:
     raises or answers out of range (``policy_errors`` /
     ``fallback_errors``).
     """
-
-    kind = "policy"
 
     def __init__(
         self,
@@ -180,9 +163,6 @@ class ResolutionDownscaleActuator:
     it back when capacity frees.
     """
 
-    name = "resolution-downscale"
-    kind = "transform"
-
     def __init__(self, ladder: DegradeLadder):
         self.ladder = ladder
 
@@ -218,19 +198,11 @@ class ResolutionDownscaleActuator:
                     return None
                 if choice is None:
                     continue
-                try:
-                    index = operator.index(choice)
-                except TypeError:
-                    index = -1
-                if not 0 <= index < len(signatures):
-                    if engine.strict:
-                        raise IndexError(
-                            f"policy {policy.name!r} returned server index "
-                            f"{choice!r} for a pool of {len(signatures)} "
-                            f"servers during downscale"
-                        )
-                    t.counter("invalid_choices").inc()
-                    t.counter("downscale_errors").inc()
+                index = engine._checked_index(
+                    policy, choice, len(signatures), "downscale_errors",
+                    during=" during downscale",
+                )
+                if index is None:
                     span.set(outcome="error")
                     return None
                 t.counter("downscales", resolution=str(rung)).inc()
@@ -362,21 +334,6 @@ class DecisionEngine:
         """The second policy in the pipeline, if any (historical accessor)."""
         return self.pipeline[1].policy if len(self.pipeline) > 1 else None
 
-    @property
-    def _primary_breaker(self) -> CircuitBreaker | None:
-        return self.pipeline[0].breaker
-
-    @property
-    def _fallback_breaker(self) -> CircuitBreaker | None:
-        return self.pipeline[1].breaker if len(self.pipeline) > 1 else None
-
-    def actuators(self) -> list[Actuator]:
-        """The full pipeline in escalation order, downscale included."""
-        steps: list[Actuator] = list(self.pipeline)
-        if self.downscale is not None:
-            steps.append(self.downscale)
-        return steps
-
     def _instrument_members(self) -> None:
         # Flow the shared telemetry/tracer into the policies (and through
         # them into the predictor) so one request yields one trace.
@@ -399,14 +356,44 @@ class DecisionEngine:
 
     # ------------------------------------------------------------------
 
+    def _checked_index(
+        self,
+        policy: AdmissionPolicy,
+        choice,
+        n_servers: int,
+        error_counter: str,
+        *,
+        during: str = "",
+    ) -> int | None:
+        """``choice`` as an index into a pool of ``n_servers``, or ``None``.
+
+        A buggy policy return value is a policy error, not a crash in the
+        fleet bookkeeping downstream: under ``strict`` it raises
+        ``IndexError``, otherwise it counts ``invalid_choices`` and
+        ``error_counter``.
+        """
+        try:
+            index = operator.index(choice)
+        except TypeError:
+            index = -1
+        if 0 <= index < n_servers:
+            return index
+        if self.strict:
+            raise IndexError(
+                f"policy {policy.name!r} returned server index {choice!r} "
+                f"for a pool of {n_servers} servers{during}"
+            )
+        self.telemetry.counter("invalid_choices").inc()
+        self.telemetry.counter(error_counter).inc()
+        return None
+
     def _attempt(
-        self, policy: AdmissionPolicy, signatures: list[Signature], session, *,
-        is_fallback: bool,
+        self, step: PolicyActuator, signatures: list[Signature], session
     ) -> tuple[bool, int | None]:
-        """Run one policy, validating its answer.  Returns (ok, choice)."""
-        error_counter = "fallback_errors" if is_fallback else "policy_errors"
+        """Run one policy step, validating its answer.  Returns (ok, choice)."""
+        policy = step.policy
         span = self.tracer.span(
-            "policy", policy=policy.name, fallback=is_fallback
+            "policy", policy=policy.name, fallback=step.is_fallback
         )
         try:
             with span:
@@ -414,26 +401,14 @@ class DecisionEngine:
         except Exception:
             if self.strict:
                 raise
-            self.telemetry.counter(error_counter).inc()
+            self.telemetry.counter(step.error_counter).inc()
             return False, None
         if choice is None:
             return True, None
-        try:
-            index = operator.index(choice)
-        except TypeError:
-            index = -1
-        if not 0 <= index < len(signatures):
-            # A buggy policy return value is a policy error, not a crash
-            # in the fleet bookkeeping downstream.
-            if self.strict:
-                raise IndexError(
-                    f"policy {policy.name!r} returned server index {choice!r} "
-                    f"for a pool of {len(signatures)} servers"
-                )
-            self.telemetry.counter("invalid_choices").inc()
-            self.telemetry.counter(error_counter).inc()
-            return False, None
-        return True, index
+        index = self._checked_index(
+            policy, choice, len(signatures), step.error_counter
+        )
+        return index is not None, index
 
     def decide(self, signatures: list[Signature], session) -> AdmissionDecision:
         """Place ``session`` against the open-server ``signatures``.
@@ -467,9 +442,7 @@ class DecisionEngine:
             first_ok: bool | None = None
             first_allowed = first.breaker.allow() if first.breaker else True
             if first_allowed:
-                first_ok, choice = self._attempt(
-                    first.policy, signatures, session, is_fallback=False
-                )
+                first_ok, choice = self._attempt(first, signatures, session)
                 attempted.append((first, first_ok))
                 if first_ok:
                     policy_used = first.name
@@ -485,9 +458,7 @@ class DecisionEngine:
                     if not (step.breaker.allow() if step.breaker else True):
                         t.counter(step.skip_counter).inc()
                         continue
-                    ok, choice = self._attempt(
-                        step.policy, signatures, session, is_fallback=True
-                    )
+                    ok, choice = self._attempt(step, signatures, session)
                     attempted.append((step, ok))
                     if ok:
                         policy_used = step.name

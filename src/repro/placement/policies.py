@@ -3,18 +3,18 @@
 Every policy answers the same question in both the offline scheduling
 simulator and the online serving broker — given the signatures of the
 currently open servers and an arriving session, which server takes it
-(``None`` opens a fresh one)?  These are the *only* implementations:
-:func:`repro.scheduling.dynamic.cm_feasible_policy` and friends are thin
-factories over the classes here, and the serving stack dispatches them
-through :class:`repro.placement.DecisionEngine`, so offline/online
-decision parity holds by construction rather than by duplicated code.
+(``None`` opens a fresh one)?  :meth:`AdmissionPolicy.select` is the
+only way a policy reaches the fleet: the serving broker and the offline
+:func:`repro.scheduling.dynamic.simulate_sessions` both dispatch these
+objects through :class:`repro.placement.DecisionEngine`, so
+offline/online decision parity holds by construction rather than by
+duplicated code.
 
 The prediction-guided policies route all model queries through a shared
 :class:`PredictionCache` and the predictor's batched API — one
 ``predict_batch`` call scores every uncached candidate for an arrival —
 so scanning a pool of candidate servers costs one model invocation, not
-one per candidate.  Predictors that lack the batched endpoints are
-still served via per-candidate calls.
+one per candidate.
 
 Every policy's verdict on a server depends only on the server's
 signature, so the scans walk *distinct* signatures
@@ -28,7 +28,6 @@ its cache key per ``(sig id, entry)``.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import Protocol
 
 import numpy as np
@@ -54,7 +53,6 @@ __all__ = [
     "WorstFitPolicy",
     "VBPFirstFitPolicy",
     "DedicatedPolicy",
-    "OfflinePolicyAdapter",
     "POLICY_NAMES",
     "build_policy",
 ]
@@ -149,16 +147,15 @@ class _InstrumentedPolicy:
 class CMFeasiblePolicy(_InstrumentedPolicy):
     """CM-guided packing: fullest feasible server wins (paper Section 5.1).
 
-    The one canonical implementation behind both
-    :func:`repro.scheduling.dynamic.cm_feasible_policy` (offline) and the
-    serving broker's ``cm-feasible`` policy (online): whole-colocation CM
+    The one implementation behind both the offline simulator and the
+    serving broker's ``cm-feasible`` policy: whole-colocation CM
     verdicts resolve through the LRU cache and all uncached candidates
     are scored with a single ``predict_batch`` call (CM only — the RM is
-    skipped).  ``margin`` scales the
-    floor the CM is queried with: a value of 1.1 demands 10% headroom
-    above the player-facing QoS, trading some consolidation for fewer
-    violations when the CM's boundary is noisy — the knob the Section 7
-    discussion implies for production deployments.
+    skipped).  ``margin`` scales the floor the CM is queried with: a
+    value of 1.1 demands 10% headroom above the player-facing QoS,
+    trading some consolidation for fewer violations when the CM's
+    boundary is noisy — the knob the Section 7 discussion implies for
+    production deployments.
     """
 
     name = "cm-feasible"
@@ -182,20 +179,12 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
         self.cache = cache if cache is not None else PredictionCache()
 
     def _query(self, specs: list[ColocationSpec], floor: float) -> list[bool]:
-        batched = getattr(self.predictor, "predict_batch", None)
-        if batched is not None:
-            # One predict_batch call scores every uncached candidate:
-            # feature rows for the whole pool hit the CM in a single
-            # model invocation (models=("cm",) skips the RM, whose
-            # output this policy would discard).
-            results = batched(specs, qos=floor, models=("cm",))
-            return [bool(np.all(result["feasible"])) for result in results]
-        legacy = getattr(self.predictor, "colocations_feasible", None)
-        if legacy is not None:
-            return legacy(specs, floor)
-        # Predictors without any batched endpoint (duck-typed baselines)
-        # still answer, one colocation at a time.
-        return [self.predictor.colocation_feasible(spec, floor) for spec in specs]
+        # One predict_batch call scores every uncached candidate: feature
+        # rows for the whole pool hit the CM in a single model invocation
+        # (models=("cm",) skips the RM, whose output this policy would
+        # discard).
+        results = self.predictor.predict_batch(specs, qos=floor, models=("cm",))
+        return [bool(np.all(result["feasible"])) for result in results]
 
     def _verdicts(self, candidates: list[tuple[Signature, tuple]]) -> list[bool]:
         """CM verdicts for distinct ``(signature, cache key)`` candidates, in order."""
@@ -351,10 +340,9 @@ class WorstFitPolicy:
 class VBPFirstFitPolicy:
     """VBP first fit: the first server whose summed demand still fits.
 
-    The offline baseline from Section 2.2 (the canonical implementation
-    behind :func:`repro.scheduling.dynamic.vbp_policy`): scan the open
-    servers in order and join the first one where the demand-vector sum
-    stays within capacity on every dimension.
+    The offline baseline from Section 2.2: scan the open servers in
+    order and join the first one where the demand-vector sum stays
+    within capacity on every dimension.
     """
 
     name = "vbp-first-fit"
@@ -380,23 +368,6 @@ class DedicatedPolicy:
     def select(self, _signatures: list[Signature], _session) -> int | None:
         """Always ``None``."""
         return None
-
-
-class OfflinePolicyAdapter:
-    """Serve an offline :data:`repro.scheduling.dynamic.Policy` callable.
-
-    Lets the broker replay any ``(signatures, session) -> index | None``
-    function from :mod:`repro.scheduling.dynamic` unchanged — the bridge
-    used by the offline/online parity tests.
-    """
-
-    def __init__(self, fn: Callable, name: str = "offline"):
-        self._fn = fn
-        self.name = name
-
-    def select(self, signatures: list[Signature], session) -> int | None:
-        """Delegate to the wrapped offline policy callable."""
-        return self._fn(signatures, session)
 
 
 def build_policy(

@@ -10,7 +10,11 @@ Two problems are solved with GAugur's predictions:
   rates are best (RM), or worst-fit by remaining capacity for VBP.
 
 Evaluation utilities measure the *actual* outcome of every placement by
-running the resulting colocations on the simulator.
+running the resulting colocations on the simulator.  Dynamic traces
+(arrivals and departures) are replayed by
+:func:`~repro.scheduling.dynamic.simulate_sessions`, which takes the same
+:class:`~repro.placement.policies.AdmissionPolicy` objects as the
+serving broker.
 """
 
 from repro.placement.assignment import (
@@ -22,12 +26,8 @@ from repro.placement.assignment import (
 from repro.scheduling.dynamic import (
     DynamicMetrics,
     Session,
-    cm_feasible_policy,
-    dedicated_policy,
     generate_sessions,
-    recording_policy,
     simulate_sessions,
-    vbp_policy,
 )
 from repro.scheduling.feasible import (
     FeasibilityReport,
@@ -63,10 +63,6 @@ __all__ = [
     "generate_sessions",
     "simulate_sessions",
     "DynamicMetrics",
-    "cm_feasible_policy",
-    "vbp_policy",
-    "dedicated_policy",
-    "recording_policy",
     "FleetSummary",
     "jain_fairness",
     "qos_satisfaction",

@@ -41,7 +41,6 @@ from repro.placement.policies import (
     CMFeasiblePolicy,
     DedicatedPolicy,
     MaxFPSPolicy,
-    OfflinePolicyAdapter,
     WorstFitPolicy,
     build_policy,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "MaxFPSPolicy",
     "WorstFitPolicy",
     "DedicatedPolicy",
-    "OfflinePolicyAdapter",
     "build_policy",
     "POLICY_NAMES",
     "Counter",

@@ -76,6 +76,15 @@ class TestDiff:
         assert "REGRESSION" in captured.err
         assert "decision_latency_s" in captured.out
 
+    def test_overflowed_histogram_self_diff_is_clean(self, tmp_path, capsys):
+        # 5s lands in the overflow bucket, so p50/p99 are infinite.
+        snapshot = _snapshot([0.25, 5.0, 5.0])
+        assert snapshot["histograms"]["decision_latency_s"]["p99_s"] == float("inf")
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(snapshot))
+        assert main(["metrics", "diff", str(path), str(path)]) == 0
+        assert capsys.readouterr().out == "no differences\n"
+
     def test_no_gate_reports_but_exits_zero(self, snap_path, regressed_path):
         assert main(["metrics", "diff", snap_path, regressed_path]) == 0
 

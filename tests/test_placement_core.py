@@ -13,7 +13,6 @@ import pytest
 
 from repro.games.resolution import Resolution
 from repro.placement import (
-    CMFeasiblePolicy,
     DecisionEngine,
     DedicatedPolicy,
     FleetState,
@@ -23,11 +22,7 @@ from repro.placement import (
     signature_add,
     signature_of,
 )
-from repro.scheduling.dynamic import (
-    cm_feasible_policy,
-    generate_sessions,
-    simulate_sessions,
-)
+from repro.scheduling.dynamic import generate_sessions, simulate_sessions
 from repro.serving import (
     AdmissionController,
     BreakerConfig,
@@ -162,22 +157,6 @@ class TestStrictEngine:
 
 
 class TestOfflineFrontend:
-    def test_policy_object_and_callable_agree(self, minilab):
-        sessions = generate_sessions(minilab.names[:4], 60, seed=11)
-        as_object = simulate_sessions(
-            minilab.catalog,
-            sessions,
-            CMFeasiblePolicy(minilab.predictor, 60.0),
-            server=minilab.server,
-        )
-        as_callable = simulate_sessions(
-            minilab.catalog,
-            sessions,
-            cm_feasible_policy(minilab.predictor, 60.0),
-            server=minilab.server,
-        )
-        assert as_object == as_callable
-
     def test_broken_policy_fails_loudly(self, minilab):
         sessions = generate_sessions(minilab.names[:2], 5, seed=12)
         with pytest.raises(RuntimeError, match="broken policy"):

@@ -1,7 +1,7 @@
 """Tests for the serving broker, admission controller, and policies.
 
 The load-bearing properties: serving-loop placements match the offline
-``scheduling.dynamic`` policies on the same seeded trace (decision
+``simulate_sessions`` driver on the same seeded trace (decision
 parity), missing profiles degrade to counted fallbacks instead of
 crashing, and the cache actually serves the hot path.
 """
@@ -12,18 +12,12 @@ import pytest
 
 from repro.core import InterferencePredictor
 from repro.games.resolution import Resolution
-from repro.scheduling.dynamic import (
-    cm_feasible_policy,
-    generate_sessions,
-    recording_policy,
-    simulate_sessions,
-)
+from repro.scheduling.dynamic import generate_sessions, simulate_sessions
 from repro.serving import (
     AdmissionController,
     CMFeasiblePolicy,
     DedicatedPolicy,
     MaxFPSPolicy,
-    OfflinePolicyAdapter,
     PredictionCache,
     RequestBroker,
     TraceConfig,
@@ -35,13 +29,27 @@ from repro.serving import (
 R1080 = Resolution(1920, 1080)
 
 
+class _Recorder:
+    """Wrap a policy, logging every answer its ``select`` gives."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.name = policy.name
+        self.record: list[int | None] = []
+
+    def select(self, signatures, session):
+        choice = self.policy.select(signatures, session)
+        self.record.append(choice)
+        return choice
+
+
 def _run(policy, sessions, *, fallback=None):
     controller = AdmissionController(policy, fallback=fallback)
     return controller, RequestBroker(controller).run(sessions)
 
 
 class TestPolicyParity:
-    """Serving decisions must equal the offline dynamic policies'."""
+    """Serving decisions must equal the offline driver's."""
 
     def test_cm_feasible_matches_offline_policy_500_requests(self, minilab):
         sessions = generate_sessions(minilab.names, 500, arrival_rate=4.0, seed=5)
@@ -49,9 +57,7 @@ class TestPolicyParity:
         serving = CMFeasiblePolicy(minilab.predictor, 60.0, cache=cache)
         controller, report = _run(serving, sessions)
 
-        offline = OfflinePolicyAdapter(
-            cm_feasible_policy(minilab.predictor, 60.0), name="offline-cm"
-        )
+        offline = CMFeasiblePolicy(minilab.predictor, 60.0)
         _, offline_report = _run(offline, sessions)
 
         assert report.n_sessions == 500
@@ -68,16 +74,14 @@ class TestPolicyParity:
         sessions = generate_sessions(
             minilab.names[:4], 60, arrival_rate=4.0, seed=11
         )
-        wrapped, record = recording_policy(
-            cm_feasible_policy(minilab.predictor, 60.0)
-        )
-        simulate_sessions(minilab.catalog, sessions, wrapped, qos=60.0)
+        recorder = _Recorder(CMFeasiblePolicy(minilab.predictor, 60.0))
+        simulate_sessions(minilab.catalog, sessions, recorder, qos=60.0)
 
         serving = CMFeasiblePolicy(
             minilab.predictor, 60.0, cache=PredictionCache(1024)
         )
         _, report = _run(serving, sessions)
-        assert report.choices() == record
+        assert report.choices() == recorder.record
 
     def test_margin_forwarded(self, minilab):
         with pytest.raises(ValueError, match="margin"):

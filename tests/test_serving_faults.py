@@ -12,16 +12,16 @@ import json
 
 import pytest
 
-from repro.scheduling.dynamic import cm_feasible_policy, generate_sessions
+from repro.scheduling.dynamic import generate_sessions
 from repro.serving import (
     AdmissionController,
     BreakerConfig,
+    CMFeasiblePolicy,
     DedicatedPolicy,
     FaultConfig,
     FaultInjector,
     InjectedFault,
     Mode,
-    OfflinePolicyAdapter,
     PredictionCache,
     RequestBroker,
     WorstFitPolicy,
@@ -405,9 +405,7 @@ class TestChaosEndToEnd:
             sessions
         )
 
-        offline = OfflinePolicyAdapter(
-            cm_feasible_policy(minilab.predictor, 60.0), name="offline-cm"
-        )
+        offline = CMFeasiblePolicy(minilab.predictor, 60.0)
         offline_report = RequestBroker(AdmissionController(offline)).run(sessions)
 
         assert report.choices() == offline_report.choices()

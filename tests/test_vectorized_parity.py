@@ -295,8 +295,10 @@ class _ScoringPredictor:
             for name, res in spec.entries
         ]
 
-    def colocations_feasible(self, specs, floor):
-        return [min(self._fps(spec)) >= floor for spec in specs]
+    def predict_batch(self, specs, qos, models):
+        return [
+            {"feasible": [fps >= qos for fps in self._fps(spec)]} for spec in specs
+        ]
 
     def predict_fps_batch(self, specs):
         return [np.array(self._fps(spec)) for spec in specs]
@@ -330,7 +332,8 @@ def _reference_scan(kind, sigs, session, cache, qos, cap=4):
                 answers[cand] = hit
     predictor, specs = _ScoringPredictor(), [ColocationSpec(c) for c in unknown]
     if kind == "cm":
-        fresh = predictor.colocations_feasible(specs, qos)
+        batch = predictor.predict_batch(specs, qos=qos, models=("cm",))
+        fresh = [all(result["feasible"]) for result in batch]
     else:
         batch = predictor.predict_fps_batch(specs)
         fresh = [tuple(float(v) for v in fps) for fps in batch]
